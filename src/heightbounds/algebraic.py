@@ -102,8 +102,7 @@ class AlgebraicNumber:
     def box(self, eps: Fraction | None = None) -> RootBox:
         """Certified enclosure; refined to width <= eps when given."""
         if eps is not None and self._box.width > eps:
-            bits = max(16, -(eps.numerator.bit_length() - eps.denominator.bit_length()) + 8)
-            self._box = refine_box(self.minpoly, self._box, eps, round_bits=bits + 16)
+            self._box = refine_box(self.minpoly, self._box, eps)
         return self._box
 
     def interval(self, eps: Fraction) -> Interval:
@@ -181,8 +180,7 @@ class AlgebraicNumber:
 
     def conjugate_boxes(self, eps: Fraction) -> list[RootBox]:
         """One refined box per conjugate, canonical order."""
-        return [refine_box(self.minpoly, cb, eps, round_bits=None)
-                for cb in _isolated(self.minpoly)]
+        return [refine_box(self.minpoly, cb, eps) for cb in _isolated(self.minpoly)]
 
     def conjugates(self, bits: int = 32) -> "ConjugateSet":
         return ConjugateSet(self, bits)

@@ -143,9 +143,9 @@ def _verdict_exit(status: str) -> int:
 
 def _cmd_mahler(args) -> int:
     f = parse_polynomial(args.poly)
+    # max(|lead|, |f(0)|) <= M(f), so this asks for relative precision
     tol = Fraction(1, 1 << (args.precision + 2))
-    rough = mahler_measure(f, Fraction(1, 4))
-    m = mahler_measure(f, max(rough.lo, Fraction(1)) * tol)
+    m = mahler_measure(f, max(abs(f.lead), abs(f.constant)) * tol)
     approx, pm = decimal_midpoint(m, max_digits=min(40, args.precision * 3 // 10))
     _emit({"measure": jsonio.interval_to_json(m, args.precision),
            "approx": approx, "pm": pm}, args.format,

@@ -9,6 +9,7 @@ package targets (<= ~64; practical inputs stay below ~30).
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import ceil, isqrt, log2
 
 from .polys import IntPolynomial, PolynomialError, poly_gcd
@@ -311,6 +312,9 @@ def _small_primes(limit=100000):
 
 
 _PRIMES = _small_primes()
+# modular factorizations tried before recombining over the best of them;
+# some polynomials split into many factors modulo every prime
+_USABLE_PRIMES = 8
 
 
 def _mignotte_bound(f: IntPolynomial) -> int:
@@ -326,6 +330,7 @@ def factor_squarefree_primitive(f: IntPolynomial) -> list[IntPolynomial]:
         return [f]
     lc = f.lead
     best = None
+    usable = 0
     for p in _PRIMES[1:]:
         if lc % p == 0:
             continue
@@ -333,9 +338,11 @@ def factor_squarefree_primitive(f: IntPolynomial) -> list[IntPolynomial]:
         if len(fp) - 1 != n or not gf_is_squarefree(fp, p):
             continue
         facs = gf_factor_squarefree(gf_monic(fp, p), p)
+        usable += 1
         if best is None or len(facs) < len(best[1]):
             best = (p, facs)
-        if len(facs) <= 3 or (best and len(best[1]) <= 6 and p > 30):
+        if (len(facs) <= 3 or (len(best[1]) <= 6 and p > 30)
+                or usable == _USABLE_PRIMES):
             break
     if best is None:
         raise PolynomialError("no usable prime found")
@@ -359,7 +366,7 @@ def factor_squarefree_primitive(f: IntPolynomial) -> list[IntPolynomial]:
     s = 1
     while 2 * s <= len(indices):
         found = False
-        for subset in _subsets(indices, s):
+        for subset in combinations(indices, s):
             # cheap test: constant coefficient of candidate must divide f's
             q = b % pl
             for i in subset:
@@ -387,12 +394,6 @@ def factor_squarefree_primitive(f: IntPolynomial) -> list[IntPolynomial]:
     if rest.degree >= 1:
         factors.append(rest.canonical())
     return sorted(factors, key=lambda g: (g.degree, g.coeffs))
-
-
-def _subsets(items, size):
-    from itertools import combinations
-
-    return combinations(items, size)
 
 
 def squarefree_decomposition(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:

@@ -9,13 +9,13 @@ numeric output is a certified interval on the natural-log scale.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd, isqrt
 
-from .algebraic import AlgebraicNumber
+from .algebraic import AlgebraicNumber, _isolated
 from .factor import factor_over_rationals
 from .intervals import Interval, ln_fraction
 from .polys import IntPolynomial, is_cyclotomic
-from .roots import isolate_roots, refine_box
+from .roots import refine_box
 
 DEFAULT_BITS = 128
 
@@ -56,53 +56,52 @@ def mahler_measure(f: IntPolynomial, eps) -> Interval:
     """Certified interval of width <= eps around M(f).
 
     M(f) = |lead| * prod max(1, |root|) over all roots with multiplicity;
-    computed factorwise so root isolation always sees squarefree input.
+    computed factorwise, so root isolation always sees squarefree input.
+    Each factor's roots are isolated once, through the cache shared with
+    algebraic numbers, and the same boxes are narrowed on every pass;
+    factors whose roots are 0 or roots of unity contribute exactly 1
+    (Kronecker).
     """
     eps = Fraction(eps)
-    if eps <= 0:
-        raise HeightError("eps must be positive")
     if f.is_zero():
         raise HeightError("Mahler measure of the zero polynomial")
-    if f.degree == 0:
-        c = abs(f.constant)
-        return Interval(c, c)
-    content = abs(f.content())
-    parts = factor_over_rationals(f)
-    width_target = eps
-    box_width = Fraction(1, 1 << 24)
+    if eps <= 0:
+        raise HeightError("eps must be positive")
+    n = f.degree
+    if n == 0:
+        return Interval(abs(f.constant))
+    parts = [(g, mult, list(_isolated(g))) for g, mult in factor_over_rationals(f)
+             if g.coeffs != (0, 1) and not is_cyclotomic(g)]
+    # Boxes of width w move each |root| by < 2w, so while n * w <= 1/4 the
+    # product moves by < 4 * n * w * M, and M <= ||f||_2 (Landau).
+    landau = isqrt(sum(c * c for c in f.coeffs)) + 1
+    k = max(ceil(4 * n * landau / eps).bit_length(), (4 * n).bit_length())
     while True:
-        total = Interval(content)
-        for g, mult in parts:
-            total = total * _mahler_irreducible(g, box_width).pow_int(mult)
-        if total.width <= width_target:
+        w = Fraction(1, 1 << k)
+        total = Interval(abs(f.lead))
+        for g, mult, boxes in parts:
+            acc = Interval(1)
+            for i, box in enumerate(boxes):
+                boxes[i] = box = refine_box(g, box, w)
+                acc = acc * box.abs_interval(k + 4).max_with(1)
+            total = total * acc.pow_int(mult)
+        if total.width <= eps:
             return total
-        box_width /= Fraction(1 << 16)
-
-
-def _mahler_irreducible(g: IntPolynomial, box_width: Fraction) -> Interval:
-    if g.degree == 0:
-        c = abs(g.constant)
-        return Interval(c, c)
-    bits = max(24, box_width.denominator.bit_length() + 8)
-    acc = Interval(abs(g.lead))
-    for box in isolate_roots(g):
-        box = refine_box(g, box, box_width, round_bits=bits + 16)
-        acc = acc * box.abs_interval(bits).max_with(1)
-    return acc
+        k += 16
 
 
 def weil_log_height(a: AlgebraicNumber, bits: int = DEFAULT_BITS) -> HeightValue:
     """log h(alpha) = (1/deg) * log M(minpoly); exactly [0,0] in the
     Kronecker cases (zero or a root of unity)."""
-    if a.is_zero() or is_cyclotomic(a.minpoly):
+    f = a.minpoly
+    if a.is_zero() or is_cyclotomic(f):
         return HeightValue(Interval(0), bits)
-    deg = a.degree
-    tol = Fraction(1, 1 << (bits + 4))
-    # relative precision on M controls absolute precision of log M
-    rough = mahler_measure(a.minpoly, Fraction(1, 4))
-    m = mahler_measure(a.minpoly, rough.lo * tol)
+    # max(|lead|, |f(0)|) <= M(f) exactly, so this eps asks for relative
+    # precision 2^-(bits+4) on M, which bounds the absolute error of log M
+    eps = max(abs(f.lead), abs(f.constant)) * Fraction(1, 1 << (bits + 4))
+    m = mahler_measure(f, eps)
     log_m = Interval(ln_fraction(m.lo, bits + 8).lo, ln_fraction(m.hi, bits + 8).hi)
-    return HeightValue(Interval(log_m.lo / deg, log_m.hi / deg), bits)
+    return HeightValue(Interval(log_m.lo / a.degree, log_m.hi / a.degree), bits)
 
 
 def rational_block_log_height(coords, bits: int = DEFAULT_BITS) -> HeightValue:

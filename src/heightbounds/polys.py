@@ -334,7 +334,9 @@ def sturm_chain(f: IntPolynomial) -> tuple[IntPolynomial, ...]:
     """Sturm chain of a squarefree polynomial (primitive integer chain).
 
     Each step keeps only the sign-relevant primitive part, with sign fixed
-    so that the chain has the Sturm property.
+    so that the chain has the Sturm property.  The last element is
+    gcd(f, f') up to a constant, so it has degree > 0 exactly when f is not
+    squarefree.
     """
     chain = [f.primitive_part()]
     d = f.derivative()
@@ -378,9 +380,9 @@ def count_real_roots(f: IntPolynomial, lo: Fraction | None = None,
         raise PolynomialError("zero polynomial")
     if f.degree == 0:
         return 0
-    if not poly_gcd(f, f.derivative()).degree == 0:
-        raise PolynomialError("input must be squarefree")
     chain = sturm_chain(f)
+    if chain[-1].degree > 0:  # the chain ends in gcd(f, f')
+        raise PolynomialError("input must be squarefree")
     if lo is None:
         va = _variations(p.sign_at_inf(False) for p in chain)
     else:

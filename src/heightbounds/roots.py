@@ -15,7 +15,7 @@ import mpmath
 from .intervals import (Interval, IntervalError, Rect, poly_eval_interval,
                         poly_eval_rect, rect_inverse, sqrt_fraction_down,
                         sqrt_fraction_up)
-from .polys import IntPolynomial, PolynomialError, count_real_roots, poly_gcd, root_bound
+from .polys import IntPolynomial, PolynomialError, count_real_roots, root_bound, sturm_chain
 
 
 class IsolationError(ArithmeticError):
@@ -99,7 +99,7 @@ class RootBox:
 def _require_squarefree(f: IntPolynomial):
     if f.degree < 1:
         raise PolynomialError("need degree >= 1")
-    if poly_gcd(f, f.derivative()).degree != 0:
+    if sturm_chain(f)[-1].degree > 0:  # the chain ends in gcd(f, f')
         raise PolynomialError("input must be squarefree")
 
 
@@ -157,8 +157,18 @@ def isolate_real_roots(f: IntPolynomial) -> list[RootBox]:
     return boxes
 
 
-def refine_real_box(f: IntPolynomial, box: RootBox, eps: Fraction,
-                    round_bits: int | None = None) -> RootBox:
+def _grid_bits(eps: Fraction) -> int:
+    """Bits of the dyadic grid that refinement to width eps rounds onto:
+    about log2(1/eps) + 24, so endpoints stay small and steps stay exact."""
+    return max(16, eps.denominator.bit_length() - eps.numerator.bit_length() + 8) + 16
+
+
+def _grid_point(x: Fraction, bits: int) -> Fraction:
+    """The grid point at or just below x."""
+    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
+
+
+def refine_real_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox:
     """Shrink a certified real interval to width <= eps (same root)."""
     if eps <= 0:
         raise IsolationError("eps must be positive")
@@ -168,6 +178,7 @@ def refine_real_box(f: IntPolynomial, box: RootBox, eps: Fraction,
     s_lo = f.sign_at(lo)
     if s_lo == 0:
         return RootBox(Interval(lo, lo))
+    bits = _grid_bits(eps)
     deriv = f.derivative().coeffs
     while hi - lo > eps:
         # interval Newton step when the derivative has constant sign
@@ -181,20 +192,19 @@ def refine_real_box(f: IntPolynomial, box: RootBox, eps: Fraction,
             n_iv = Interval(m) - Interval(fm) / d_iv
             nlo, nhi = max(n_iv.lo, lo), min(n_iv.hi, hi)
             if nlo <= nhi and (nhi - nlo) <= (hi - lo) * Fraction(3, 4):
-                if round_bits:
-                    g = Interval(nlo, nhi).round_out(round_bits)
-                    nlo, nhi = max(g.lo, lo), min(g.hi, hi)
-                if f.sign_at(nlo) == 0:
+                g = Interval(nlo, nhi).round_out(bits)
+                nlo, nhi = max(g.lo, lo), min(g.hi, hi)
+                s_nlo, s_nhi = f.sign_at(nlo), f.sign_at(nhi)
+                if s_nlo == 0:
                     return RootBox(Interval(nlo, nlo))
-                if f.sign_at(nhi) == 0:
+                if s_nhi == 0:
                     return RootBox(Interval(nhi, nhi))
                 # keep the sign-change invariant
-                if f.sign_at(nlo) * f.sign_at(nhi) < 0:
-                    lo, hi = nlo, nhi
-                    s_lo = f.sign_at(lo)
+                if s_nlo * s_nhi < 0:
+                    lo, hi, s_lo = nlo, nhi, s_nlo
                     stepped = True
         if not stepped:
-            m = (lo + hi) / 2
+            m = _grid_point((lo + hi) / 2, bits)
             sm = f.sign_at(m)
             if sm == 0:
                 return RootBox(Interval(m, m))
@@ -267,11 +277,11 @@ _SPLIT_OFFSETS = (Fraction(1, 2), Fraction(17, 32), Fraction(15, 32),
                   Fraction(9, 16), Fraction(7, 16))
 
 
-def refine_complex_box(f: IntPolynomial, box: RootBox, eps: Fraction,
-                       round_bits: int | None = None) -> RootBox:
+def refine_complex_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox:
     """Shrink a certified non-real box to width <= eps (same root)."""
     if eps <= 0:
         raise IsolationError("eps must be positive")
+    bits = _grid_bits(eps)
     cur = box
     guard = 0
     while cur.width > eps:
@@ -283,7 +293,6 @@ def refine_complex_box(f: IntPolynomial, box: RootBox, eps: Fraction,
         d_iv = _derivative_enclosure(f, x, Rect(Interval(mr), Interval(mi)), mr, mi)
         stepped = False
         if not d_iv.contains_zero():
-            mr, mi = cur.midpoint()
             fr, fi = _cpoly_eval(f.coeffs, mr, mi)
             n = Rect(Interval(mr), Interval(mi)) - \
                 Rect(Interval(fr), Interval(fi)) * rect_inverse(d_iv)
@@ -293,20 +302,19 @@ def refine_complex_box(f: IntPolynomial, box: RootBox, eps: Fraction,
             except IntervalError:
                 raise IsolationError("Newton step lost the root (box not certified?)")
             if max(nre.width, nim.width) <= cur.width * Fraction(3, 4):
-                if round_bits:
-                    nre = nre.round_out(round_bits).intersect(cur.re)
-                    nim = nim.round_out(round_bits).intersect(cur.im)
+                nre = nre.round_out(bits).intersect(cur.re)
+                nim = nim.round_out(bits).intersect(cur.im)
                 cur = RootBox(nre, nim)
                 stepped = True
         if not stepped:
-            cur = _quadrisect(f, cur)
+            cur = _quadrisect(f, cur, bits)
     return cur
 
 
-def _quadrisect(f: IntPolynomial, box: RootBox) -> RootBox:
+def _quadrisect(f: IntPolynomial, box: RootBox, bits: int) -> RootBox:
     for off in _SPLIT_OFFSETS:
-        rs = _split_interval(box.re, off)
-        ims = _split_interval(box.im, off)
+        rs = _split_interval(box.re, off, bits)
+        ims = _split_interval(box.im, off, bits)
         for r_part in rs:
             for i_part in ims:
                 try:
@@ -320,8 +328,8 @@ def _quadrisect(f: IntPolynomial, box: RootBox) -> RootBox:
     raise IsolationError("quadrisection failed to re-certify a sub-box")
 
 
-def _split_interval(iv: Interval, off: Fraction) -> tuple[Interval, Interval]:
-    cut = iv.lo + (iv.hi - iv.lo) * off
+def _split_interval(iv: Interval, off: Fraction, bits: int) -> tuple[Interval, Interval]:
+    cut = max(iv.lo, _grid_point(iv.lo + (iv.hi - iv.lo) * off, bits))
     return Interval(iv.lo, cut), Interval(cut, iv.hi)
 
 
@@ -451,9 +459,11 @@ def _certify_upper_half(f: IntPolynomial, pairs: int, n_real: int,
     return out
 
 
-def refine_box(f: IntPolynomial, box: RootBox, eps: Fraction,
-               round_bits: int | None = None) -> RootBox:
-    """Refine either kind of box; result is contained in the input box."""
+def refine_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox:
+    """Refine either kind of box; result is contained in the input box.
+
+    Moved endpoints are rounded outward onto a dyadic grid about 2^-24 below
+    eps, so exact arithmetic never meets unbounded fractions."""
     if box.is_real:
-        return refine_real_box(f, box, eps, round_bits)
-    return refine_complex_box(f, box, eps, round_bits)
+        return refine_real_box(f, box, eps)
+    return refine_complex_box(f, box, eps)

@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from .algebraic import AlgebraicNumber, _isolated
 from .factor import factor_over_rationals
-from .heights import mahler_measure
-from .intervals import Interval, decimal_lower, decimal_upper, ln_fraction
-from .polys import IntPolynomial, count_real_roots, is_cyclotomic
+from .heights import weil_log_height
+from .intervals import Interval, decimal_lower, decimal_upper
+from .polys import IntPolynomial, count_real_roots
 from .verify import CorollaryInstance, verify_corollary
 
 KNOWN_PREDICATES = ("totally-real", "algebraic-integer", "exclude-trivial", "irreducible")
@@ -161,18 +161,6 @@ def enumerate_space(space: SearchSpace):
 _TRIVIAL = {(0, 1), (-1, 1), (1, 1)}  # minpolys of 0, 1, -1
 
 
-def record_log_height(minpoly: IntPolynomial, bits: int) -> Interval:
-    """Certified log Weil height of any root of an irreducible minpoly."""
-    if is_cyclotomic(minpoly):
-        return Interval(0)
-    tol = Fraction(1, 1 << (bits + 4))
-    rough = mahler_measure(minpoly, Fraction(1, 4))
-    m = mahler_measure(minpoly, rough.lo * tol)
-    deg = minpoly.degree
-    return Interval(ln_fraction(m.lo, bits + 8).lo / deg,
-                    ln_fraction(m.hi, bits + 8).hi / deg)
-
-
 def _examine_candidate(space: SearchSpace, f: IntPolynomial, bits: int,
                        seen: dict, stats: dict, worker: int):
     """Run one enumerated candidate through factorization and predicates."""
@@ -204,7 +192,7 @@ def _examine_candidate(space: SearchSpace, f: IntPolynomial, bits: int,
         flags = list(space.predicates)
         if g.degree != f.degree or g != f:
             flags.append("from-decomposition")
-        logh = record_log_height(g, bits)
+        logh = weil_log_height(AlgebraicNumber(g, _isolated(g)[0]), bits).log_height
         seen[g.coeffs] = SearchRecord(g, g.degree, logh, flags,
                                       timestamp=time.time(), worker=worker)
 

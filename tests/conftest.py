@@ -1,10 +1,13 @@
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
 from heightbounds.algebraic import AlgebraicNumber, _isolated  # noqa: E402
 from heightbounds.polys import parse_polynomial  # noqa: E402
@@ -24,6 +27,19 @@ def alg(text: str, index: int) -> AlgebraicNumber:
     """Algebraic number from an irreducible polynomial and canonical root index."""
     f = parse_polynomial(text)
     return AlgebraicNumber(f, _isolated(f)[index])
+
+
+def run_with_deadline(code: str, seconds: float = 60):
+    """Run `code` in a fresh interpreter; a hang fails the calling test at
+    the deadline instead of stalling the suite."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=seconds,
+                              env=dict(os.environ, PYTHONPATH=path))
+    except subprocess.TimeoutExpired:
+        pytest.fail("did not finish within %g s" % seconds)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from heightbounds.algebraic import (AlgebraicNumber, DegreeCapExceeded, _isolate
 from heightbounds.factor import factor_over_rationals
 from heightbounds.polys import IntPolynomial, parse_polynomial
 
-from conftest import alg
+from conftest import alg, run_with_deadline
 
 
 def P(text):
@@ -205,3 +205,18 @@ class TestFieldLawsRandom:
             if not b.is_zero():
                 assert ((a * b) / b).equals(a)
                 assert b.inv().inv().equals(b)
+
+
+class TestCloseRoots:
+    def test_sum_round_trip_with_close_resultant_roots(self):
+        # isolating the sum resultant 8x^6+80x^5+332x^4+704x^3+774x^2+332x-23
+        # needs bounded endpoints while neighbouring boxes are separated
+        run_with_deadline(
+            "from heightbounds.algebraic import AlgebraicNumber, _isolated\n"
+            "from heightbounds.polys import parse_polynomial as P\n"
+            "f, g = P('x^3+2x^2+2x-1'), P('2x^2+4x+1')\n"
+            "a = AlgebraicNumber(f, _isolated(f)[0])\n"
+            "b = AlgebraicNumber(g, _isolated(g)[0])\n"
+            "s = a.add(b)\n"
+            "assert s.minpoly == P('8x^6+80x^5+332x^4+704x^3+774x^2+332x-23')\n"
+            "assert s.sub(b).equals(a)\n")

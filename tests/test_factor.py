@@ -1,11 +1,14 @@
 import random
 
+import mpmath
 import pytest
 import sympy
 
 from heightbounds.factor import (factor_over_rationals, is_irreducible,
                                  squarefree_decomposition)
 from heightbounds.polys import IntPolynomial, PolynomialError, parse_polynomial
+
+from conftest import run_with_deadline
 
 
 def P(text):
@@ -87,3 +90,21 @@ class TestSquarefreeDecomposition:
         for g, m in facs:
             prod = prod * g ** m
         assert prod.canonical() == f.canonical()
+
+
+# minimal polynomial of sqrt2 + sqrt3 + sqrt5 + sqrt7 (degree 16); it has at
+# least eight factors modulo every prime
+FOUR_ROOTS = [46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0,
+              -141912, 0, 6476, 0, -136, 0, 1]
+
+
+class TestManyModularFactors:
+    def test_four_square_roots_minpoly_irreducible(self):
+        with mpmath.workdps(50):
+            x = sum(mpmath.sqrt(k) for k in (2, 3, 5, 7))
+            assert abs(mpmath.polyval(list(reversed(FOUR_ROOTS)), x)) < mpmath.mpf(10) ** -30
+        run_with_deadline(
+            "from heightbounds.factor import factor_over_rationals\n"
+            "from heightbounds.polys import IntPolynomial\n"
+            "f = IntPolynomial(%r)\n"
+            "assert factor_over_rationals(f) == [(f, 1)]\n" % FOUR_ROOTS)

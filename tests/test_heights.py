@@ -59,6 +59,19 @@ class TestMahler:
             if f.is_monic():
                 assert m.hi >= 1 - EPS9
 
+    def test_kronecker_factors_exact(self):
+        # roots of unity and 0 contribute exactly 1, with no root isolation
+        f = cyclotomic_polynomial(17) * cyclotomic_polynomial(19) * P("x^2") * P("x-2")
+        m = mahler_measure(f, EPS9)
+        assert m.lo == m.hi == 2
+
+    def test_width_with_large_measure(self):
+        # the first pass's box width is sized from eps and ||f||_2
+        f = P("x^2-1000*x+1") ** 2 * P("x^2+x+5")
+        eps = Fraction(1, 10**30)
+        m = mahler_measure(f, eps)
+        assert m.width <= eps and 10**5 < m.lo
+
     def test_zero_rejected(self):
         with pytest.raises(HeightError):
             mahler_measure(IntPolynomial(()), EPS9)

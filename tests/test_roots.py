@@ -8,9 +8,9 @@ from heightbounds.intervals import Interval
 from heightbounds.polys import IntPolynomial, count_real_roots, parse_polynomial, squarefree_part
 from heightbounds.roots import (IsolationError, RootBox, isolate_real_roots,
                                 isolate_roots, krawczyk_passes, refine_box,
-                                refine_real_box)
+                                refine_complex_box, refine_real_box)
 
-from conftest import LEHMER_TEXT
+from conftest import LEHMER_TEXT, run_with_deadline
 
 
 def P(text):
@@ -73,6 +73,23 @@ class TestRefinement:
         assert abs(float(ref.re.mid)) < 1e-6 and abs(float(ref.im.mid) - 1) < 1e-6
         assert box.re.contains_interval(ref.re) and box.im.contains_interval(ref.im)
 
+    def test_endpoints_on_dyadic_grid(self):
+        # moved endpoints lie on a dyadic grid about 2^-24 below eps, so
+        # their denominators are powers of two bounded by eps alone
+        eps = Fraction(1, 10**12)
+        f = P("x^3-x-1")
+        real = refine_real_box(f, isolate_real_roots(f)[0], eps)
+        g = P("x^2+1")
+        start = RootBox(Interval(Fraction(-1, 8), Fraction(1, 4)),
+                        Interval(Fraction(7, 8), Fraction(5, 4)))
+        assert krawczyk_passes(g, start)
+        cplx = refine_complex_box(g, start, eps)
+        for box in (real, cplx):
+            assert box.width <= eps
+            for x in (box.re.lo, box.re.hi, box.im.lo, box.im.hi):
+                d = x.denominator
+                assert d & (d - 1) == 0 and d <= 2**25 / eps
+
 
 class TestComplexIsolation:
     def test_primitive_cube_roots(self):
@@ -117,6 +134,18 @@ class TestComplexIsolation:
                 continue
             boxes = isolate_roots(f)
             assert sum(b.is_real for b in boxes) == count_real_roots(f)
+
+    def test_close_real_roots_separate(self):
+        # the sum resultant of roots of x^3+2x^2+2x-1 and 2x^2+4x+1: exact
+        # Newton endpoints grew without bound while neighbouring boxes were
+        # separated, unless refinement rounded them
+        run_with_deadline(
+            "from heightbounds.polys import IntPolynomial\n"
+            "from heightbounds.roots import isolate_roots\n"
+            "boxes = isolate_roots(IntPolynomial([-23, 332, 774, 704, 332, 80, 8]))\n"
+            "assert len(boxes) == 6\n"
+            "assert not any(a.intersects(b) for i, a in enumerate(boxes)"
+            " for b in boxes[i + 1:])\n")
 
     def test_boxes_certified_against_mpmath(self):
         # every numeric root falls in exactly one certified box

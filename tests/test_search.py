@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from heightbounds.heights import weil_log_height
 from heightbounds.polys import parse_polynomial
 from heightbounds.search import (CursorError, SearchError, SearchSpace,
                                  enumerate_space, equality_hunt,
-                                 min_height_survey, record_log_height)
+                                 min_height_survey)
 
-from conftest import HALF_LN_PHI
+from conftest import HALF_LN_PHI, alg
 
 SLACK = Fraction(1, 10**38)
 
@@ -181,9 +182,9 @@ class TestEqualityHunt:
 
 class TestRecordHeights:
     def test_cyclotomic_exact_zero(self):
-        iv = record_log_height(parse_polynomial("x^2+x+1"), 64)
+        iv = weil_log_height(alg("x^2+x+1", 0), 64).log_height
         assert iv.lo == 0 and iv.hi == 0
 
     def test_width(self):
-        iv = record_log_height(parse_polynomial("x^3-x-1"), 64)
+        iv = weil_log_height(alg("x^3-x-1", 0), 64).log_height
         assert iv.width <= Fraction(1, 1 << 60)

@@ -14,7 +14,7 @@ from heightbounds.verify import (CorollaryInstance, InstanceError, build_sum_for
                                  schinzel_check, verify_corollary,
                                  verify_corollary_batch, verify_theorem)
 
-from conftest import HALF_LN_PHI, LN_2, LN_PHI, alg
+from conftest import HALF_LN_PHI, LN_2, LN_PHI, alg, run_with_deadline
 
 SLACK = Fraction(1, 10**38)
 
@@ -233,3 +233,21 @@ class TestBatch:
         for a, b in zip(seq, par):
             if a.margin is not None:
                 assert a.margin.lo == b.margin.lo and a.margin.hi == b.margin.hi
+
+
+class TestManyModularFactors:
+    def test_r3_hypotheses_finish(self):
+        # F(x^-1) meets 1/alpha_1 + 1/alpha_2 + 1/alpha_3, a degree-16
+        # resultant with many factors modulo every prime
+        run_with_deadline(
+            "from heightbounds.algebraic import AlgebraicNumber, _isolated, as_algebraic\n"
+            "from heightbounds.heights import MultiProjectivePoint\n"
+            "from heightbounds.polys import parse_polynomial as P\n"
+            "from heightbounds.verify import build_sum_form, check_hypotheses\n"
+            "f, g = P('x^2+5x-5'), P('2x^2-x-5')\n"
+            "a1 = AlgebraicNumber(f, _isolated(f)[0])\n"
+            "a2 = AlgebraicNumber(g, _isolated(g)[0])\n"
+            "two = as_algebraic(2)\n"
+            "F, E = build_sum_form(two, 3)\n"
+            "point = MultiProjectivePoint([(1, a) for a in (a1, a2, two - a1 - a2)])\n"
+            "assert all(h.passed for h in check_hypotheses(F, E, point))\n")
