@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .algebraic import AlgebraicNumber
@@ -47,12 +48,15 @@ def _unit_interval_root(h: IntPolynomial, bits: int) -> Interval:
     return Interval(lo, hi)
 
 
+@lru_cache(maxsize=32)
 def rho(c_f: int, dlt, bits: int = 128) -> tuple[AlgebraicNumber, Interval]:
     """The unique real root > 1 of x^-2 + c_f^-1 x^-delta = 1, as an exact
     algebraic number plus a certified enclosure of its natural log.
 
     With delta = p/q in lowest terms and w = x^(-1/q), the equation clears to
     c_f w^(2q) + w^p - c_f = 0 with a unique root w in (0, 1); rho = w^-q.
+    Results are cached and shared: the tuple and the interval are immutable
+    and the algebraic number only ever narrows its box.
     """
     dlt = Fraction(dlt)
     c_f = int(c_f)

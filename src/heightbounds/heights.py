@@ -67,13 +67,20 @@ def mahler_measure(f: IntPolynomial, eps) -> Interval:
         raise HeightError("Mahler measure of the zero polynomial")
     if eps <= 0:
         raise HeightError("eps must be positive")
-    n = f.degree
-    if n == 0:
+    if f.degree == 0:
         return Interval(abs(f.constant))
-    parts = [(g, mult, list(_isolated(g))) for g, mult in factor_over_rationals(f)
+    parts = [(g, mult) for g, mult in factor_over_rationals(f)
              if g.coeffs != (0, 1) and not is_cyclotomic(g)]
+    return _measure_of_parts(f, parts, eps)
+
+
+def _measure_of_parts(f: IntPolynomial, parts, eps: Fraction) -> Interval:
+    """M(f) from its (factor, multiplicity) parts other than x and the
+    cyclotomic factors, which contribute exactly 1."""
+    parts = [(g, mult, list(_isolated(g))) for g, mult in parts]
     # Boxes of width w move each |root| by < 2w, so while n * w <= 1/4 the
     # product moves by < 4 * n * w * M, and M <= ||f||_2 (Landau).
+    n = f.degree
     landau = isqrt(sum(c * c for c in f.coeffs)) + 1
     k = max(ceil(4 * n * landau / eps).bit_length(), (4 * n).bit_length())
     while True:
@@ -99,7 +106,9 @@ def weil_log_height(a: AlgebraicNumber, bits: int = DEFAULT_BITS) -> HeightValue
     # max(|lead|, |f(0)|) <= M(f) exactly, so this eps asks for relative
     # precision 2^-(bits+4) on M, which bounds the absolute error of log M
     eps = max(abs(f.lead), abs(f.constant)) * Fraction(1, 1 << (bits + 4))
-    m = mahler_measure(f, eps)
+    # the minimal polynomial is irreducible and, past the check above,
+    # neither x nor cyclotomic: it is its own only part
+    m = _measure_of_parts(f, [(f, 1)], eps)
     log_m = Interval(ln_fraction(m.lo, bits + 8).lo, ln_fraction(m.hi, bits + 8).hi)
     return HeightValue(Interval(log_m.lo / a.degree, log_m.hi / a.degree), bits)
 

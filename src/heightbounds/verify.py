@@ -10,7 +10,7 @@ from fractions import Fraction
 from .algebraic import AlgebraicNumber, DegreeCapExceeded, as_algebraic
 from .bounds import rho
 from .forms import (ExceptionalSet, FormError, MultihomogeneousPolynomial,
-                    c_max, delta, require_valid)
+                    c_max, delta, reciprocal_transform, require_valid)
 from .heights import HeightValue, MultiProjectivePoint, point_log_height
 from .intervals import Interval, Rect
 
@@ -94,13 +94,16 @@ class CorollaryInstance:
 # evaluation of F at a point
 
 
-def evaluate_exact(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
-                   cap: int = 64) -> AlgebraicNumber:
-    """Exact value of F at the point through algebraic arithmetic."""
+def _require_shape(F: MultihomogeneousPolynomial, point: MultiProjectivePoint):
     if point.shape != F.shape:
         raise FormError("point shape %r does not match polynomial shape %r"
                         % (point.shape, F.shape))
-    total = AlgebraicNumber.zero()
+
+
+def _exact_terms(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
+                 cap: int):
+    """Exact value of each monomial of F at the point, in monomial order."""
+    _require_shape(F, point)
     for exp, coeff in sorted(F.monomials.items()):
         term = as_algebraic(coeff) if not isinstance(coeff, AlgebraicNumber) else coeff
         for i, row in enumerate(exp):
@@ -113,6 +116,14 @@ def evaluate_exact(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
                     term = term.mul(c.pow(m, cap), cap)
             if term.is_zero():
                 break
+        yield term
+
+
+def evaluate_exact(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
+                   cap: int = 64) -> AlgebraicNumber:
+    """Exact value of F at the point through algebraic arithmetic."""
+    total = AlgebraicNumber.zero()
+    for term in _exact_terms(F, point, cap):
         total = total.add(term, cap)
     return total
 
@@ -121,6 +132,7 @@ def evaluate_interval(F: MultihomogeneousPolynomial, point: MultiProjectivePoint
                       bits: int) -> Rect:
     """Certified rectangle around F(point); fallback when exact arithmetic
     would blow the degree cap."""
+    _require_shape(F, point)
     eps = Fraction(1, 1 << bits)
     total = Rect(Interval(0), Interval(0))
     for exp, coeff in sorted(F.monomials.items()):
@@ -149,26 +161,49 @@ def evaluate(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
     try:
         return evaluate_exact(F, point, cap)
     except DegreeCapExceeded:
-        bits = 64
-        while bits <= max_bits:
-            rect = evaluate_interval(F, point, bits)
-            if not rect.contains_zero():
-                return rect
-            bits *= 2
-        # last escalation: exact arithmetic with a doubled cap
-        try:
-            return evaluate_exact(F, point, cap * 2)
-        except DegreeCapExceeded:
-            raise UndecidedError(
-                "value sign undecidable: degree cap exceeded and the interval "
-                "keeps containing zero at %d bits" % max_bits) from None
+        return _evaluate_past_cap(F, point, cap, max_bits)
 
 
-def _is_zero_value(value) -> tuple[bool, bool]:
-    """(is_zero, decided) for the result of evaluate()."""
-    if isinstance(value, AlgebraicNumber):
-        return value.is_zero(), True
-    return False, True  # a rectangle is only returned when it excludes zero
+def _evaluate_past_cap(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
+                       cap: int, max_bits: int):
+    """A rectangle that excludes 0 from the interval ladder, else the exact
+    value under a doubled degree cap, else UndecidedError."""
+    bits = 64
+    while bits <= max_bits:
+        rect = evaluate_interval(F, point, bits)
+        if not rect.contains_zero():
+            return rect
+        bits *= 2
+    try:
+        return evaluate_exact(F, point, cap * 2)
+    except DegreeCapExceeded:
+        raise UndecidedError(
+            "value sign undecidable: degree cap exceeded and the interval "
+            "keeps containing zero at %d bits" % max_bits) from None
+
+
+def _vanishes(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
+              cap: int) -> bool:
+    """Exact test of F(point) = 0.
+
+    A 64-bit rectangle that excludes 0 certifies a nonzero value; intervals
+    never certify a zero.  Otherwise the monomial terms are computed exactly
+    and F vanishes iff the sum of all but the last term equals minus the
+    last, which needs no resultant for the final addition.
+    """
+    if not evaluate_interval(F, point, 64).contains_zero():
+        return False
+    try:
+        terms = [t for t in _exact_terms(F, point, cap) if not t.is_zero()]
+        if not terms:
+            return True
+        head = AlgebraicNumber.zero()
+        for term in terms[:-1]:
+            head = head.add(term, cap)
+    except DegreeCapExceeded:
+        value = _evaluate_past_cap(F, point, cap, PRECISION_CAP)
+        return isinstance(value, AlgebraicNumber) and value.is_zero()
+    return head.equals(terms[-1].neg())
 
 
 def point_inverse(point: MultiProjectivePoint) -> MultiProjectivePoint:
@@ -186,10 +221,13 @@ def point_inverse(point: MultiProjectivePoint) -> MultiProjectivePoint:
 
 def check_hypotheses(F: MultihomogeneousPolynomial, E: ExceptionalSet,
                      point: MultiProjectivePoint, cap: int = 64) -> list[HypothesisResult]:
-    """The three exact gates: F(x) = 0, all coordinates nonzero, F(x^-1) != 0."""
+    """The three exact gates: F(x) = 0, all coordinates nonzero, F(x^-1) != 0.
+
+    With every coordinate nonzero, F(x^-1) * prod x_ij^(d_ij) is the
+    reciprocal transform of F at x itself, so the last gate inverts nothing.
+    """
     results = []
-    value = evaluate(F, point, cap)
-    on_zero_set, _ = _is_zero_value(value)
+    on_zero_set = _vanishes(F, point, cap)
     results.append(HypothesisResult(
         "zero-set", on_zero_set,
         "" if on_zero_set else "F(x) != 0"))
@@ -208,8 +246,7 @@ def check_hypotheses(F: MultihomogeneousPolynomial, E: ExceptionalSet,
         "" if zero_at is None else "coordinate x_%d%d is zero" % zero_at))
 
     if zero_at is None:
-        inv_value = evaluate(F, point_inverse(point), cap)
-        inv_zero, _ = _is_zero_value(inv_value)
+        inv_zero = _vanishes(reciprocal_transform(F), point, cap)
         results.append(HypothesisResult(
             "reciprocal-nonzero", not inv_zero,
             "" if not inv_zero else "F(x^-1) = 0"))
@@ -275,7 +312,7 @@ def _halve(iv: Interval) -> Interval:
 
 def verify_corollary(instance: CorollaryInstance, precision: int = 128,
                      cap: int = 64) -> Verdict:
-    """Validates sum alpha_i = N exactly, then certifies
+    """Validates sum alpha_i = N exactly (the zero-set gate), then certifies
     sum log h(alpha_i) >= (1/2) log((1+sqrt5)/2) through the theorem on the
     point with blocks (1, alpha_i).  All reported quantities are on the
     corollary scale (half the theorem scale)."""
@@ -284,17 +321,15 @@ def verify_corollary(instance: CorollaryInstance, precision: int = 128,
         raise InstanceError("N is not totally real")
     if not n_value.is_algebraic_integer():
         raise InstanceError("N is not an algebraic integer")
-    total = AlgebraicNumber.zero()
-    for a in instance.alphas:
-        total = total.add(a, cap)
-    if not total.equals(n_value):
-        raise InstanceError("sum of the alphas is not N")
     F, E = build_sum_form(n_value, instance.r)
     # internal consistency of the construction
     assert delta(F, E) == 1, "construction should give delta = 1"
     assert c_max(F, E) == 1, "construction should give C_F = 1"
     point = MultiProjectivePoint([(1, a) for a in instance.alphas])
     verdict = verify_theorem(F, E, point, precision, cap)
+    # F(x) = sum alpha_i - N, so the zero-set gate is the sum check
+    if not verdict.hypotheses[0].passed:
+        raise InstanceError("sum of the alphas is not N")
     if verdict.margin is None:
         return verdict
     return Verdict(verdict.status, verdict.hypotheses,

@@ -66,6 +66,18 @@ class TestRho:
         with pytest.raises(ThresholdError):
             rho(1, Fraction(-1, 2))
 
+    def test_cached_result_shared(self):
+        first = rho(1, 1, 128)
+        assert rho(1, 1, 128) is first
+        assert rho(1, Fraction(1), 128) is first
+
+    def test_invalid_inputs_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ThresholdError):
+                rho(0, 1, 128)
+            with pytest.raises(ThresholdError):
+                rho(1, 0, 128)
+
 
 class TestSegmentMin:
     def test_golden(self):

@@ -97,6 +97,17 @@ class TestWeilHeight:
         assert contains_const(h.log_height, HALF_LN_PHI)
         assert h.log_height.width <= Fraction(1, 1 << 120)
 
+    def test_minimal_polynomial_not_factored(self, golden, monkeypatch):
+        import heightbounds.heights as heights_mod
+
+        def refuse(*_args):
+            raise AssertionError("minimal polynomial factored")
+
+        monkeypatch.setattr(heights_mod, "factor_over_rationals", refuse)
+        h = weil_log_height(golden, 128)
+        assert contains_const(h.log_height, HALF_LN_PHI)
+        assert h.log_height.width <= Fraction(1, 1 << 120)
+
     def test_two(self):
         h = weil_log_height(as_algebraic(2), 128)
         assert contains_const(h.log_height, LN_2)

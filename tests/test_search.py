@@ -96,6 +96,33 @@ class TestSurvey:
         assert p1.read_bytes() == p4.read_bytes()
 
 
+class TestPartHeights:
+    def test_each_part_measured_once(self, monkeypatch):
+        import heightbounds.search as search_mod
+        measured = []
+
+        def counting(a, bits):
+            measured.append(a.minpoly.coeffs)
+            return weil_log_height(a, bits)
+
+        monkeypatch.setattr(search_mod, "weil_log_height", counting)
+        search_mod._part_log_height.cache_clear()
+        # one chunk per degree: reducible cubics meet parts of earlier chunks
+        res = min_height_survey(SearchSpace(1, 3, 2), bits=64)
+        assert sorted(measured) == sorted(r.minpoly.coeffs for r in res.records)
+
+    def test_cursor_and_stats_identical_across_jobs(self, tmp_path):
+        sp = SearchSpace(1, 3, 2)
+        runs = {}
+        for jobs in (1, 4):
+            cursor = tmp_path / ("c%d.json" % jobs)
+            res = min_height_survey(sp, bits=64, jobs=jobs,
+                                    records_path=str(tmp_path / ("r%d.jsonl" % jobs)),
+                                    cursor_path=str(cursor))
+            runs[jobs] = (cursor.read_bytes(), res.stats)
+        assert runs[1] == runs[4]
+
+
 class TestCheckpoint:
     def test_resume_identical(self, tmp_path):
         sp = SearchSpace(1, 2, 3)

@@ -5,12 +5,14 @@ import pytest
 
 from heightbounds.algebraic import AlgebraicNumber, _isolated, as_algebraic
 from heightbounds.factor import factor_over_rationals
-from heightbounds.forms import MultihomogeneousPolynomial
+from heightbounds.forms import (ExceptionalSet, MultihomogeneousPolynomial,
+                                reciprocal_transform)
 from heightbounds.heights import MultiProjectivePoint
 from heightbounds.intervals import Rect
 from heightbounds.polys import IntPolynomial, parse_polynomial
 from heightbounds.verify import (CorollaryInstance, InstanceError, build_sum_form,
-                                 check_hypotheses, evaluate, point_inverse,
+                                 check_hypotheses, evaluate, evaluate_interval,
+                                 point_inverse,
                                  schinzel_check, verify_corollary,
                                  verify_corollary_batch, verify_theorem)
 
@@ -86,6 +88,76 @@ class TestHypotheses:
         assert inv.blocks[0][1].equals(golden.inv())
 
 
+def _is_zero(value) -> bool:
+    # evaluate() returns a rectangle only when it excludes zero
+    return isinstance(value, AlgebraicNumber) and value.is_zero()
+
+
+class TestHypothesisGate:
+    def test_golden_gates_need_no_resultant(self, golden, monkeypatch):
+        import heightbounds.algebraic as algebraic_mod
+
+        def refuse(*_args):
+            raise AssertionError("resultant computed")
+
+        monkeypatch.setattr(algebraic_mod, "_resultant_sum", refuse)
+        monkeypatch.setattr(algebraic_mod, "_resultant_product", refuse)
+        F, E = build_sum_form(golden, 1)
+        point = MultiProjectivePoint([(1, golden)])
+        results = check_hypotheses(F, E, point)
+        assert [h.name for h in results] == [
+            "zero-set", "coordinates-nonzero", "reciprocal-nonzero"]
+        assert all(h.passed for h in results)
+
+    def test_near_miss_reciprocal_decided_exactly(self):
+        # alpha = sqrt(1 + 2^-100): F(x^-1) = 1/alpha - alpha = -2^-100/alpha
+        # is nonzero, yet the 64-bit rectangle around it still holds 0
+        f = IntPolynomial([-(2 ** 100 + 1), 0, 2 ** 100])
+        alpha = AlgebraicNumber(f, _isolated(f)[1])
+        F = MultihomogeneousPolynomial((1,), (1,), {((0, 1),): 1, ((1, 0),): alpha.neg()})
+        point = MultiProjectivePoint([(1, alpha)])
+        assert evaluate_interval(reciprocal_transform(F), point, 64).contains_zero()
+        table = {h.name: h for h in check_hypotheses(F, ExceptionalSet([0]), point)}
+        assert table["zero-set"].passed
+        assert table["coordinates-nonzero"].passed
+        assert table["reciprocal-nonzero"].passed
+        assert not _is_zero(evaluate(F, point_inverse(point)))
+
+    def test_r2_matches_reference_evaluation(self):
+        rng = random.Random(5150)
+        cases = []
+        # unit pairs alpha_1 * alpha_2 = 1 with alpha_1 + alpha_2 = N
+        for n in (-3, -1, 0, 1, 3):
+            f = IntPolynomial([1, -n, 1])
+            for box in _isolated(f):
+                a1 = AlgebraicNumber(f, box)
+                cases.append((n, a1, a1.inv()))
+        while len(cases) < 40:
+            n = rng.choice((0, 0, -2, -1, 1, 2))
+            cs = [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))] + [rng.randint(1, 2)]
+            facs = [g for g, _ in factor_over_rationals(IntPolynomial(cs)) if g.degree >= 1]
+            if not facs:
+                continue
+            g = rng.choice(facs)
+            a1 = AlgebraicNumber(g, rng.choice(_isolated(g)))
+            a2 = a1.neg()._add_rational(n)
+            if rng.random() < 0.3:  # off the zero set
+                a2 = a2._add_rational(Fraction(1, rng.randint(1, 3)))
+            if a1.is_zero() or a2.is_zero():
+                continue
+            cases.append((n, a1, a2))
+        verdicts = set()
+        for n, a1, a2 in cases:
+            F, E = build_sum_form(as_algebraic(n), 2)
+            point = MultiProjectivePoint([(1, a1), (1, a2)])
+            table = {h.name: h.passed for h in check_hypotheses(F, E, point)}
+            expect = (_is_zero(evaluate(F, point)),
+                      not _is_zero(evaluate(F, point_inverse(point))))
+            assert (table["zero-set"], table["reciprocal-nonzero"]) == expect, (n, a1, a2)
+            verdicts.add(expect)
+        assert verdicts == {(True, True), (True, False), (False, True)}
+
+
 class TestVerifyTheorem:
     def test_equality_candidate(self, golden):
         F, E = build_sum_form(golden, 1)
@@ -133,6 +205,10 @@ class TestVerifyCorollary:
     def test_not_an_instance(self, golden, sqrt2):
         with pytest.raises(InstanceError):
             verify_corollary(CorollaryInstance([sqrt2], golden), 64)
+
+    def test_r2_sum_not_n(self, golden, sqrt2):
+        with pytest.raises(InstanceError, match="sum of the alphas is not N"):
+            verify_corollary(CorollaryInstance([sqrt2, golden], as_algebraic(2)), 64)
 
     def test_n_must_be_totally_real_integer(self, sqrt2):
         i_num = alg("x^2+1", 0)
