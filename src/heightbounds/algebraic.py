@@ -1,10 +1,13 @@
-"""Exact algebraic numbers: irreducible minimal polynomial plus a certified
-root box selecting one conjugate.
+"""Exact algebraic numbers: an irreducible minimal polynomial plus the
+conjugate it names.
 
-Field arithmetic goes through resultants: the composite polynomial is built
-by evaluation/interpolation (integer Sylvester determinants), factored, and
-the correct irreducible factor is selected by interval refinement until the
-choice is unambiguous.  Rational operands take direct shift/scale paths.
+Root boxes belong to the polynomial: one bounded store per polynomial holds
+its canonical isolation and, per conjugate, boxes at fixed anchor widths,
+and only the store refines a box.  Field arithmetic goes through
+resultants built by evaluation/interpolation (integer Sylvester
+determinants), factored; the factor and conjugate are selected against a
+shrinking enclosure of the value.  Rational operands take direct
+shift/scale paths, which isolate nothing.
 """
 
 from __future__ import annotations
@@ -31,26 +34,96 @@ class SelectionError(ArithmeticError):
 _X = IntPolynomial([0, 1])
 
 
+# ---------------------------------------------------------------------------
+# the conjugate store
+
+# Anchor widths 2^-64, 2^-128, 2^-256, narrowest first.  A box of width eps
+# is refined from the narrowest anchor wider than eps, so each anchor from
+# the one before it; a finer schedule costs more than it saves.
+_ANCHORS = tuple(Fraction(1, 1 << bits) for bits in (256, 128, 64))
+
+# Widths at which `_conjugates_in` looks again at the conjugates it has not
+# settled; a fixed, finite schedule, so a box that holds two roots is
+# rejected at once.
+_SCAN_WIDTHS = (None,) + tuple(Fraction(1, 1 << bits) for bits in (16, 32, 64, 128, 256))
+
+
 @lru_cache(maxsize=4096)
-def _isolated(minpoly: IntPolynomial) -> tuple[RootBox, ...]:
-    if minpoly.degree == 1:
-        r = Fraction(-minpoly.coeffs[0], minpoly.coeffs[1])
-        return (RootBox(Interval(r, r)),)
-    return tuple(isolate_roots(minpoly))
+def _isolated(f: IntPolynomial) -> tuple[RootBox, ...]:
+    """The canonical isolation of squarefree f (see `roots.isolate_roots`)."""
+    if f.degree == 1:
+        return (RootBox(Interval(Fraction(-f.coeffs[0], f.coeffs[1]))),)
+    return tuple(isolate_roots(f))
+
+
+@lru_cache(maxsize=8192)
+def conjugate_box(f: IntPolynomial, index: int, eps: Fraction | None = None) -> RootBox:
+    """Certified box of width <= eps (the isolating box when eps is None)
+    around root `index` of f in canonical order.
+
+    A pure function of its arguments, memoized: the refinement source
+    depends only on eps, so no box depends on earlier calls or eviction."""
+    box = _isolated(f)[index]
+    if eps is None or box.width <= eps:
+        return box
+    source = next((w for w in _ANCHORS if w > eps), None)
+    if source is not None:
+        box = conjugate_box(f, index, source)
+    return refine_box(f, box, eps) if box.width > eps else box
+
+
+def _inside(box: RootBox, rect: Rect) -> bool:
+    return rect.re.contains_interval(box.re) and rect.im.contains_interval(box.im)
+
+
+def _conjugates_in(f: IntPolynomial, rect: Rect) -> list[int]:
+    """Indices of the conjugates of f that can lie in rect.
+
+    Each conjugate's box is refined along `_SCAN_WIDTHS` only until it is
+    inside rect or disjoint from it; the scan stops once at most one
+    conjugate is left or two are certified inside."""
+    inside: list[int] = []
+    maybe = list(range(len(_isolated(f))))
+    for eps in _SCAN_WIDTHS:
+        boxes = {i: conjugate_box(f, i, eps) for i in maybe}
+        maybe = [i for i in maybe if boxes[i].rect().intersects(rect)]
+        inside += [i for i in maybe if _inside(boxes[i], rect)]
+        maybe = [i for i in maybe if i not in inside]
+        if len(inside) >= 2 or len(inside) + len(maybe) < 2:
+            break
+    return inside + maybe
+
+
+# ---------------------------------------------------------------------------
+# numbers
+
+
+def _number(minpoly: IntPolynomial, base: IntPolynomial, index: int,
+            scale=Fraction(1), shift=Fraction(0)) -> "AlgebraicNumber":
+    a = object.__new__(AlgebraicNumber)
+    a.minpoly, a._base, a._index, a._scale, a._shift = minpoly, base, index, scale, shift
+    return a
 
 
 class AlgebraicNumber:
-    """An exact algebraic number; immutable in its observable state.
+    """An exact algebraic number; immutable.
 
-    The root box only ever narrows (monotone refinement cache); every box
-    held certifies the same root of the same irreducible polynomial.
+    The value is `scale * theta + shift`, where theta is root `index` of
+    `base` in canonical order and `minpoly` is the value's own minimal
+    polynomial.  Every enclosure is read from the conjugate store; the
+    number holds no box.  `AlgebraicNumber(minpoly, box)` names the root
+    of minpoly that the box singles out.
     """
 
-    __slots__ = ("minpoly", "_box")
+    __slots__ = ("minpoly", "_base", "_index", "_scale", "_shift")
 
     def __init__(self, minpoly: IntPolynomial, box: RootBox):
-        self.minpoly = minpoly
-        self._box = box
+        hits = _conjugates_in(minpoly, box.rect())
+        if len(hits) != 1:
+            raise SelectionError("the box can hold %d roots of %s, not one"
+                                 % (len(hits), minpoly))
+        self.minpoly, self._base, self._index = minpoly, minpoly, hits[0]
+        self._scale, self._shift = Fraction(1), Fraction(0)
 
     # -- constructors -------------------------------------------------------
 
@@ -58,15 +131,23 @@ class AlgebraicNumber:
     def from_rational(cls, q) -> "AlgebraicNumber":
         q = Fraction(q)
         mp = IntPolynomial([-q.numerator, q.denominator])
-        return cls(mp, RootBox(Interval(q, q)))
+        return _number(mp, mp, 0)
 
     @classmethod
     def from_root(cls, poly: IntPolynomial, box: RootBox) -> "AlgebraicNumber":
-        """Select the root of (possibly reducible) poly certified by box."""
+        """The root of (possibly reducible) poly in box; raises SelectionError
+        unless exactly one root of poly can lie in the box."""
         if poly.degree < 1:
             raise PolynomialError("need degree >= 1")
-        factors = [g for g, _ in factor_over_rationals(poly)]
-        return _select(factors, lambda _k: box.rect())
+        rect = box.rect()
+        found = [(g, i) for g, _ in factor_over_rationals(poly)
+                 if poly_eval_rect(g.coeffs, rect).contains_zero()
+                 for i in _conjugates_in(g, rect)]
+        if len(found) != 1:
+            raise SelectionError("the box can hold %d roots of %s, not one"
+                                 % (len(found), poly))
+        g, i = found[0]
+        return _number(g, g, i)
 
     @classmethod
     def zero(cls) -> "AlgebraicNumber":
@@ -97,13 +178,20 @@ class AlgebraicNumber:
         return self.is_rational() and self.as_fraction().denominator == 1
 
     def is_real(self) -> bool:
-        return self._box.is_real
+        return self.box().is_real
 
     def box(self, eps: Fraction | None = None) -> RootBox:
-        """Certified enclosure; refined to width <= eps when given."""
-        if eps is not None and self._box.width > eps:
-            self._box = refine_box(self.minpoly, self._box, eps)
-        return self._box
+        """Certified enclosure; of width <= eps when given."""
+        if self.is_rational():
+            return RootBox(Interval(self.as_fraction()))
+        scale, shift = self._scale, self._shift
+        if eps is not None:
+            eps = eps / abs(scale)
+        b = conjugate_box(self._base, self._index, eps)
+        if scale == 1 and shift == 0:
+            return b
+        s = Interval(scale)
+        return RootBox(b.re * s + Interval(shift), None if b.is_real else b.im * s)
 
     def interval(self, eps: Fraction) -> Interval:
         """Real-line enclosure; raises for non-real numbers."""
@@ -129,7 +217,7 @@ class AlgebraicNumber:
         return complex(float(b.re.mid), float(b.im.mid))
 
     def __repr__(self):
-        b = self._box
+        b = self.box()
         if b.is_real:
             return "AlgebraicNumber(%s @ ~%.6g)" % (self.minpoly, float(b.re.mid))
         return "AlgebraicNumber(%s @ ~%.6g%+.6gi)" % (
@@ -140,25 +228,29 @@ class AlgebraicNumber:
     def equals(self, other: "AlgebraicNumber") -> bool:
         if self.minpoly != other.minpoly:
             return False
-        if self.is_rational():
-            return True  # degree-1 minpoly has a single root
-        return self.root_index() == other.root_index()
+        # a degree-1 minpoly has a single root
+        return self.is_rational() or self.root_index() == other.root_index()
 
-    __eq__ = equals
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraicNumber):
+            return NotImplemented
+        return self.equals(other)
 
     def __hash__(self):
         return hash(self.minpoly)
 
     def root_index(self) -> int:
-        """Index of the selected conjugate in the canonical isolation order."""
+        """Index of the number in the canonical isolation of its minimal
+        polynomial."""
+        if self._base == self.minpoly and self._scale == 1 and self._shift == 0:
+            return self._index
         canon = _isolated(self.minpoly)
-        cur = self._box
+        b = self.box()
         while True:
-            hits = [i for i, cb in enumerate(canon) if cb.intersects(cur)]
+            hits = [i for i, cb in enumerate(canon) if cb.intersects(b)]
             if len(hits) == 1:
                 return hits[0]
-            cur = refine_box(self.minpoly, cur, cur.width / 4)
-            self._box = cur
+            b = self.box(b.width / 4)
 
     def is_totally_real(self) -> bool:
         return count_real_roots(self.minpoly) == self.degree
@@ -170,28 +262,31 @@ class AlgebraicNumber:
         """Exact sign of a real algebraic number."""
         if self.is_zero():
             return 0
-        b = self.box()
-        if not b.is_real:
+        if not self.is_real():
             raise ValueError("sign of a non-real number")
-        while b.re.contains(0):
-            b = refine_box(self.minpoly, b, b.width / 4)
-            self._box = b
-        return 1 if b.re.lo > 0 else -1
+        return 1 if self._box_off_zero().re.lo > 0 else -1
+
+    def _box_off_zero(self, eps: Fraction | None = None) -> RootBox:
+        """A box of width <= eps (when given) that excludes 0; the number
+        must be nonzero."""
+        b = self.box(eps)
+        while b.rect().contains_zero():
+            b = self.box(b.width / 4)
+        return b
 
     def conjugate_boxes(self, eps: Fraction) -> list[RootBox]:
         """One refined box per conjugate, canonical order."""
-        return [refine_box(self.minpoly, cb, eps) for cb in _isolated(self.minpoly)]
-
-    def conjugates(self, bits: int = 32) -> "ConjugateSet":
-        return ConjugateSet(self, bits)
+        return [conjugate_box(self.minpoly, i, eps) for i in range(self.degree)]
 
     # -- arithmetic -------------------------------------------------------------
 
+    def _affine(self, minpoly: IntPolynomial, scale, shift) -> "AlgebraicNumber":
+        """The number scale * self + shift, whose minimal polynomial is minpoly."""
+        return _number(minpoly, self._base, self._index,
+                       scale * self._scale, scale * self._shift + shift)
+
     def neg(self) -> "AlgebraicNumber":
-        mp = self.minpoly.negate_variable().canonical()
-        b = self._box
-        box = RootBox(-b.re, None if b.is_real else -b.im)
-        return AlgebraicNumber(mp, box)
+        return self._affine(self.minpoly.negate_variable().canonical(), -1, 0)
 
     __neg__ = neg
 
@@ -203,11 +298,7 @@ class AlgebraicNumber:
         mp = self.minpoly.reverse().canonical()
 
         def value(k: int) -> Rect:
-            b = self.box(Fraction(1, 1 << (16 + 8 * k)))
-            while b.is_real and b.re.contains(0):
-                b = refine_box(self.minpoly, b, b.width / 4)
-                self._box = b
-            return rect_inverse(b.rect())
+            return rect_inverse(self._box_off_zero(Fraction(1, 1 << (16 + 8 * k))).rect())
 
         return _select([mp], value)
 
@@ -273,46 +364,14 @@ class AlgebraicNumber:
     def _add_rational(self, q: Fraction) -> "AlgebraicNumber":
         if self.is_rational():
             return AlgebraicNumber.from_rational(self.as_fraction() + q)
-        mp = self.minpoly.shift_rational(q).canonical()
-        b = self._box
-        box = RootBox(b.re + Interval(q), None if b.is_real else b.im)
-        return AlgebraicNumber(mp, box)
+        return self._affine(self.minpoly.shift_rational(q).canonical(), 1, q)
 
     def _mul_rational(self, q: Fraction) -> "AlgebraicNumber":
         if q == 0:
             return AlgebraicNumber.zero()
         if self.is_rational():
             return AlgebraicNumber.from_rational(self.as_fraction() * q)
-        mp = self.minpoly.scale_roots(q).canonical()
-        b = self._box
-        re = b.re * Interval(q)
-        if b.is_real:
-            return AlgebraicNumber(mp, RootBox(re))
-        im = b.im * Interval(q)
-        return AlgebraicNumber(mp, RootBox(re, im))
-
-
-class ConjugateSet:
-    """All conjugates of a number: one certified box per root of its minimal
-    polynomial, refined to the stated precision."""
-
-    __slots__ = ("owner", "boxes", "bits")
-
-    def __init__(self, owner: AlgebraicNumber, bits: int = 32):
-        self.owner = owner
-        self.bits = bits
-        self.boxes = tuple(owner.conjugate_boxes(Fraction(1, 1 << bits)))
-        if len(self.boxes) != owner.degree:
-            raise ArithmeticError("conjugate count does not match the degree")
-
-    def __len__(self):
-        return len(self.boxes)
-
-    def __iter__(self):
-        return iter(self.boxes)
-
-    def __repr__(self):
-        return "ConjugateSet(%d conjugates @ %d bits)" % (len(self.boxes), self.bits)
+        return self._affine(self.minpoly.scale_roots(q).canonical(), q, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +500,9 @@ def _check_cap(composite_degree: int, cap: int):
 # factor selection
 
 
-def _box_from_rect(rect_re: Interval, rect_im: Interval) -> RootBox:
-    if rect_im.lo == 0 and rect_im.hi == 0:
-        return RootBox(rect_re)
-    return RootBox(rect_re, rect_im)
-
-
 def _select(factors: list[IntPolynomial], value,
             max_rounds: int = 64) -> AlgebraicNumber:
-    """Pick the unique (factor, root box) consistent with the value enclosure.
+    """Pick the unique (factor, conjugate) consistent with the value enclosure.
 
     `value(k)` returns a Rect enclosing the true value, shrinking with k.
     """
@@ -459,24 +512,11 @@ def _select(factors: list[IntPolynomial], value,
                  if poly_eval_rect(g.coeffs, c).contains_zero()]
         if not alive:
             raise SelectionError("no factor is consistent with the enclosure")
-        if len(alive) > 1:
-            continue
-        g = alive[0]
-        boxes = list(_isolated(g))
-        c_box_re, c_box_im = c.re, c.im
-        for _ in range(max_rounds):
-            hits = [b for b in boxes
-                    if b.re.intersects(c_box_re) and b.im.intersects(c_box_im)]
+        if len(alive) == 1:
+            g = alive[0]
+            hits = _conjugates_in(g, c)
             if len(hits) == 1:
-                sel = hits[0]
-                if sel.width == 0:  # exact rational/point root
-                    return AlgebraicNumber(g, sel)
-                re_iv = sel.re.intersect(c_box_re)
-                im_iv = sel.im.intersect(c_box_im)
-                return AlgebraicNumber(g, _box_from_rect(re_iv, im_iv))
-            if not hits:
-                break  # enclosure too coarse relative to refined boxes; retry
-            boxes = [refine_box(g, b, b.width / 4) if b.width else b for b in boxes]
+                return _number(g, g, hits[0])
         # tighten the value enclosure and start over
     raise SelectionError("factor selection did not converge")
 

@@ -15,13 +15,12 @@ import sys
 from fractions import Fraction
 
 from . import jsonio
-from .algebraic import AlgebraicNumber, _isolated
+from .algebraic import AlgebraicNumber, _isolated, conjugate_box
 from .bounds import ThresholdError, bound_constants, optimal_b, rho, segment_min
 from .forms import FormError, weight_scheme
 from .heights import HeightError, mahler_measure, weil_log_height
 from .intervals import decimal_midpoint
 from .polys import PolynomialError, parse_polynomial, squarefree_part
-from .roots import refine_box
 from .search import (CursorError, SearchError, SearchSpace, equality_hunt,
                      min_height_survey)
 from .spotcheck import SpotcheckError, polydisk_spotcheck
@@ -96,7 +95,7 @@ def parse_algnum(text: str, eps=Fraction(1, 1 << 40)) -> AlgebraicNumber:
     poly_text, sel = text.rsplit("@", 1)
     poly = parse_polynomial(poly_text)
     sf = squarefree_part(poly).canonical()
-    boxes = [refine_box(sf, b, eps) for b in _isolated(sf)]
+    boxes = [conjugate_box(sf, i, eps) for i in range(len(_isolated(sf)))]
     sel = sel.strip()
     if sel.startswith("#"):
         try:

@@ -36,15 +36,6 @@ def gf_to_poly(a: list[int], p: int) -> IntPolynomial:
     return IntPolynomial([c - p if c > half else c for c in a])
 
 
-def gf_add(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _gf_strip(out)
-
-
 def gf_sub(a, b, p):
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):

@@ -9,13 +9,13 @@ numeric output is a certified interval on the natural-log scale.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, gcd, isqrt
 
-from .algebraic import AlgebraicNumber, _isolated
+from .algebraic import AlgebraicNumber, conjugate_box
 from .factor import factor_over_rationals
 from .intervals import Interval, ln_fraction
 from .polys import IntPolynomial, is_cyclotomic
-from .roots import refine_box
 
 DEFAULT_BITS = 128
 
@@ -57,10 +57,9 @@ def mahler_measure(f: IntPolynomial, eps) -> Interval:
 
     M(f) = |lead| * prod max(1, |root|) over all roots with multiplicity;
     computed factorwise, so root isolation always sees squarefree input.
-    Each factor's roots are isolated once, through the cache shared with
-    algebraic numbers, and the same boxes are narrowed on every pass;
-    factors whose roots are 0 or roots of unity contribute exactly 1
-    (Kronecker).
+    Each factor's boxes come from the conjugate store shared with algebraic
+    numbers; factors whose roots are 0 or roots of unity contribute exactly
+    1 (Kronecker).
     """
     eps = Fraction(eps)
     if f.is_zero():
@@ -69,15 +68,14 @@ def mahler_measure(f: IntPolynomial, eps) -> Interval:
         raise HeightError("eps must be positive")
     if f.degree == 0:
         return Interval(abs(f.constant))
-    parts = [(g, mult) for g, mult in factor_over_rationals(f)
-             if g.coeffs != (0, 1) and not is_cyclotomic(g)]
-    return _measure_of_parts(f, parts, eps)
+    return _measure_of_parts(f, factor_over_rationals(f), eps)
 
 
 def _measure_of_parts(f: IntPolynomial, parts, eps: Fraction) -> Interval:
-    """M(f) from its (factor, multiplicity) parts other than x and the
-    cyclotomic factors, which contribute exactly 1."""
-    parts = [(g, mult, list(_isolated(g))) for g, mult in parts]
+    """M(f) from its irreducible (factor, multiplicity) parts; x and the
+    cyclotomic factors contribute exactly 1."""
+    parts = [(g, mult) for g, mult in parts
+             if g.coeffs != (0, 1) and not is_cyclotomic(g)]
     # Boxes of width w move each |root| by < 2w, so while n * w <= 1/4 the
     # product moves by < 4 * n * w * M, and M <= ||f||_2 (Landau).
     n = f.degree
@@ -86,11 +84,12 @@ def _measure_of_parts(f: IntPolynomial, parts, eps: Fraction) -> Interval:
     while True:
         w = Fraction(1, 1 << k)
         total = Interval(abs(f.lead))
-        for g, mult, boxes in parts:
+        for g, mult in parts:
             acc = Interval(1)
-            for i, box in enumerate(boxes):
-                boxes[i] = box = refine_box(g, box, w)
-                acc = acc * box.abs_interval(k + 4).max_with(1)
+            for i in range(g.degree):
+                # a root whose isolating box lies in the unit disk contributes 1
+                if conjugate_box(g, i).rect().abs2().hi > 1:
+                    acc = acc * conjugate_box(g, i, w).abs_interval(k + 4).max_with(1)
             total = total * acc.pow_int(mult)
         if total.width <= eps:
             return total
@@ -100,17 +99,22 @@ def _measure_of_parts(f: IntPolynomial, parts, eps: Fraction) -> Interval:
 def weil_log_height(a: AlgebraicNumber, bits: int = DEFAULT_BITS) -> HeightValue:
     """log h(alpha) = (1/deg) * log M(minpoly); exactly [0,0] in the
     Kronecker cases (zero or a root of unity)."""
-    f = a.minpoly
-    if a.is_zero() or is_cyclotomic(f):
-        return HeightValue(Interval(0), bits)
+    return _minpoly_log_height(a.minpoly, bits)
+
+
+@lru_cache(maxsize=4096)
+def _minpoly_log_height(f: IntPolynomial, bits: int) -> HeightValue:
+    """The Weil height depends only on the minimal polynomial, so it is
+    computed once per (minpoly, bits) and process."""
     # max(|lead|, |f(0)|) <= M(f) exactly, so this eps asks for relative
     # precision 2^-(bits+4) on M, which bounds the absolute error of log M
     eps = max(abs(f.lead), abs(f.constant)) * Fraction(1, 1 << (bits + 4))
-    # the minimal polynomial is irreducible and, past the check above,
-    # neither x nor cyclotomic: it is its own only part
+    # the minimal polynomial is irreducible: it is its own only part
     m = _measure_of_parts(f, [(f, 1)], eps)
+    if m.lo == m.hi == 1:  # x or cyclotomic: M = 1 exactly
+        return HeightValue(Interval(0), bits)
     log_m = Interval(ln_fraction(m.lo, bits + 8).lo, ln_fraction(m.hi, bits + 8).hi)
-    return HeightValue(Interval(log_m.lo / a.degree, log_m.hi / a.degree), bits)
+    return HeightValue(Interval(log_m.lo / f.degree, log_m.hi / f.degree), bits)
 
 
 def rational_block_log_height(coords, bits: int = DEFAULT_BITS) -> HeightValue:
@@ -169,10 +173,6 @@ class MultiProjectivePoint:
 
     def __repr__(self):
         return "MultiProjectivePoint(shape=%r)" % (self.shape,)
-
-    def block_is_rational(self, i: int) -> bool:
-        return all(not isinstance(c, AlgebraicNumber) or c.is_rational()
-                   for c in self.blocks[i])
 
 
 def _coord_is_zero(c) -> bool:

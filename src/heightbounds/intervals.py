@@ -66,15 +66,6 @@ class Interval:
             raise IntervalError("empty intersection")
         return Interval(lo, hi)
 
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def is_positive(self) -> bool:
-        return self.lo > 0
-
-    def is_negative(self) -> bool:
-        return self.hi < 0
-
     def __eq__(self, other):
         return isinstance(other, Interval) and self.lo == other.lo and self.hi == other.hi
 
@@ -402,9 +393,6 @@ class Rect:
 
     def contains_zero(self) -> bool:
         return self.re.contains(0) and self.im.contains(0)
-
-    def contains_rect(self, other: "Rect") -> bool:
-        return self.re.contains_interval(other.re) and self.im.contains_interval(other.im)
 
     def strictly_contains(self, other: "Rect") -> bool:
         return self.re.strictly_contains(other.re) and self.im.strictly_contains(other.im)

@@ -57,12 +57,6 @@ def height_to_json(h: HeightValue) -> dict:
     return interval_to_json(h.log_height, h.bits)
 
 
-def interval_from_json(d, pointer="interval") -> Interval:
-    if not isinstance(d, dict) or "lo" not in d or "hi" not in d:
-        raise SchemaError(pointer, "expected {lo, hi}")
-    return Interval(_frac(d["lo"], pointer + ".lo"), _frac(d["hi"], pointer + ".hi"))
-
-
 # -- algebraic numbers ---------------------------------------------------------
 
 

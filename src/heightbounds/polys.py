@@ -112,12 +112,6 @@ class IntPolynomial:
     def scale(self, k: int) -> "IntPolynomial":
         return IntPolynomial([k * c for c in self.coeffs])
 
-    def shift_up(self, k: int) -> "IntPolynomial":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
-
     def __pow__(self, n: int) -> "IntPolynomial":
         if n < 0:
             raise PolynomialError("negative power")
@@ -178,9 +172,6 @@ class IntPolynomial:
         if p.lead < 0:
             p = -p
         return p
-
-    def is_canonical(self) -> bool:
-        return not self.is_zero() and self.lead > 0 and self.content() == 1
 
     def is_monic(self) -> bool:
         return self.lead == 1
@@ -280,15 +271,6 @@ class IntPolynomial:
         n, d = q.numerator, q.denominator
         m = self.degree
         return IntPolynomial([c * n ** (m - i) * d ** i for i, c in enumerate(self.coeffs)])
-
-    def rational_eval_cleared(self, num: int, den: int) -> int:
-        """den^deg * f(num/den), exactly, as an integer."""
-        acc = 0
-        p = 1
-        for c in reversed(self.coeffs):
-            acc = acc * num + c * p
-            p *= den
-        return acc
 
 
 # -- gcd / squarefree ------------------------------------------------------

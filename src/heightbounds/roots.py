@@ -73,10 +73,6 @@ class RootBox:
             return self
         return RootBox(self.re, -self.im)
 
-    def contains_box(self, other: "RootBox") -> bool:
-        return (self.re.contains_interval(other.re)
-                and self.im.contains_interval(other.im))
-
     def intersects(self, other: "RootBox") -> bool:
         return self.re.intersects(other.re) and self.im.intersects(other.im)
 
@@ -429,18 +425,18 @@ def _certify_upper_half(f: IntPolynomial, pairs: int, n_real: int,
         if est is None or est * 16 > min_sep:
             return None  # seeds not credibly separated; escalate precision
         r0 = min(min_sep / 4, im / 2)
-        # geometric shrink, then jump toward the seed-accuracy scale; below
-        # ~4x the Newton-correction estimate the box can no longer be trusted
-        # to contain the root, so give up and escalate seeding precision
-        radii = [r0 / 4 ** k for k in range(8)]
+        # the seed is accurate far below the separation, so a box 4096
+        # Newton corrections wide usually certifies at once, and refinement
+        # then starts from it; otherwise widest first.  Below ~4x the
+        # Newton-correction estimate the box can no longer be trusted to
+        # contain the root, so give up and escalate seeding precision
+        radii = {r0 / 4 ** k for k in range(8)}
         if est > 0:
-            radii += [est * s for s in (4096, 256, 32, 8, 4)]
+            radii |= {est * s for s in (4096, 256, 32, 8, 4)}
+        radii = sorted((r for r in radii if est * 4 <= r <= r0),
+                       key=lambda r: (r != est * 4096, -r))
         box = None
-        last = None
         for r in radii:
-            if r < est * 4 or r > r0 or (last is not None and r >= last):
-                continue
-            last = r
             re_iv = Interval(re - r, re + r).round_out(dps * 4)
             im_iv = Interval(im - r, im + r).round_out(dps * 4)
             if im_iv.lo <= 0:

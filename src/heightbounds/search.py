@@ -15,7 +15,6 @@ import multiprocessing
 import os
 import time
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebraic import AlgebraicNumber, _isolated
 from .factor import factor_over_rationals
@@ -193,17 +192,9 @@ def _examine_candidate(space: SearchSpace, f: IntPolynomial, bits: int,
         flags = list(space.predicates)
         if g.degree != f.degree or g != f:
             flags.append("from-decomposition")
-        logh = _part_log_height(g, bits)
+        logh = weil_log_height(AlgebraicNumber(g, _isolated(g)[0]), bits).log_height
         seen[g.coeffs] = SearchRecord(g, g.degree, logh, flags,
                                       timestamp=time.time(), worker=worker)
-
-
-@lru_cache(maxsize=4096)
-def _part_log_height(g: IntPolynomial, bits: int) -> Interval:
-    """Certified log height of a record part, computed once per process:
-    chunks deduplicate only their own parts, so a part found again in a
-    later chunk would otherwise be measured again."""
-    return weil_log_height(AlgebraicNumber(g, _isolated(g)[0]), bits).log_height
 
 
 def _new_stats() -> dict:

@@ -11,9 +11,10 @@ ordinary float; results are reports, never certificates.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
-import numpy as np
+import mpmath
 
 from .algebraic import AlgebraicNumber
 from .forms import (ExceptionalSet, MultihomogeneousPolynomial,
@@ -67,7 +68,7 @@ def _eval_form(F: MultihomogeneousPolynomial, coeffs, coords) -> complex:
 
 def _block_poly(F, coeffs, coords, k, dk):
     """Coefficients of F restricted to block k (polynomial in z = x_k0/x_k1)."""
-    out = np.zeros(dk + 1, dtype=complex)
+    out = [0j] * (dk + 1)
     for (exp, c) in zip(F.monomials, coeffs):
         rest = 1 + 0j
         for i, row in enumerate(exp):
@@ -110,7 +111,7 @@ def polydisk_spotcheck(F: MultihomogeneousPolynomial, E: ExceptionalSet,
         raise SpotcheckError("trials must be >= 1")
     if any(n != 1 for n in F.shape):
         raise SpotcheckError("spot check supports products of P^1 blocks only")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     r = F.r
     coeffs = [_complex_coeff(c) for c in F.monomials.values()]
     F_t = reciprocal_transform(F)
@@ -124,17 +125,20 @@ def polydisk_spotcheck(F: MultihomogeneousPolynomial, E: ExceptionalSet,
         """Solve block k on the zero set given the other blocks; yield scaled points."""
         dk = F.degrees[k]
         poly = _block_poly(F, coeffs, coords, k, dk)
-        if np.allclose(poly, 0):
+        if all(abs(c) <= 1e-8 for c in poly):
             return
-        deg = np.nonzero(np.abs(poly) > 1e-14)[0]
-        if len(deg) == 0:
+        # poly[t] multiplies x_k0^t x_k1^(d-t); roots in z = x_k0/x_k1.
+        # Leading zeros lower the degree; trailing zeros are roots z = 0,
+        # whose blocks have a zero coordinate and never improve Phi.
+        lo = next(t for t, c in enumerate(poly) if c != 0)
+        hi = max(t for t, c in enumerate(poly) if c != 0)
+        if hi == lo:
             return
-        # poly[t] multiplies x_k0^t x_k1^(d-t); roots in z = x_k0/x_k1
-        z_coeffs = poly[::-1]  # descending in z
-        nz = np.trim_zeros(z_coeffs, "f")
-        if len(nz) <= 1:
-            return
-        for z in np.roots(nz):
+        try:
+            roots = mpmath.polyroots(poly[hi:lo - 1 if lo else None:-1], maxsteps=100)
+        except mpmath.libmp.NoConvergence:
+            return  # skipped, like a degenerate block
+        for z in map(complex, roots):
             scale = max(abs(z), 1.0)
             block = (z / scale, 1.0 / scale)
             new = [list(c) for c in coords]
@@ -173,7 +177,7 @@ def polydisk_spotcheck(F: MultihomogeneousPolynomial, E: ExceptionalSet,
         k = trial % r
         coords = []
         for i in range(r):
-            phases = rng.uniform(0, 2 * math.pi, size=2)
+            phases = (rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
             coords.append([complex(math.cos(p), math.sin(p)) for p in phases])
         seed_best = None
         for cand in candidates(k, coords):

@@ -29,9 +29,10 @@ def alg(text: str, index: int) -> AlgebraicNumber:
     return AlgebraicNumber(f, _isolated(f)[index])
 
 
-def run_with_deadline(code: str, seconds: float = 60):
-    """Run `code` in a fresh interpreter; a hang fails the calling test at
-    the deadline instead of stalling the suite."""
+def run_with_deadline(code: str, seconds: float = 60) -> str:
+    """Run `code` in a fresh interpreter and return its standard output; a
+    hang fails the calling test at the deadline instead of stalling the
+    suite."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     try:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -40,6 +41,7 @@ def run_with_deadline(code: str, seconds: float = 60):
     except subprocess.TimeoutExpired:
         pytest.fail("did not finish within %g s" % seconds)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture

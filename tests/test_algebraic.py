@@ -39,6 +39,19 @@ class TestConstruction:
             with pytest.raises(SelectionError):
                 AlgebraicNumber.from_root(f, wide)
 
+    def test_from_root_box_with_two_real_roots_rejected(self):
+        run_with_deadline(
+            "from heightbounds.algebraic import AlgebraicNumber, SelectionError\n"
+            "from heightbounds.intervals import Interval\n"
+            "from heightbounds.polys import parse_polynomial as P\n"
+            "from heightbounds.roots import RootBox\n"
+            "try:\n"
+            "    AlgebraicNumber.from_root(P('x^2-2'), RootBox(Interval(-2, 2)))\n"
+            "except SelectionError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('a box with two roots was accepted')\n", seconds=4)
+
     def test_degree_one_rationals(self):
         a = as_algebraic(Fraction(7, 3))
         assert a.is_rational() and a.as_fraction() == Fraction(7, 3)
@@ -109,6 +122,11 @@ class TestEquality:
         assert sqrt2.equals(other)
         assert not sqrt2.equals(alg("x^2-2", 0))
 
+    def test_other_types_compare_unequal(self, golden):
+        assert not golden == 1 and not 1 == golden and not golden == None  # noqa: E711
+        assert golden != 1 and golden != "golden"
+        assert golden == alg("x^2-x-1", 1) and golden != alg("x^2-x-1", 0)
+
     def test_arithmetic_round_trip(self, sqrt2, sqrt3):
         assert ((sqrt2 + sqrt3) - sqrt3).equals(sqrt2)
 
@@ -146,9 +164,8 @@ class TestPredicates:
 
     def test_conjugate_count(self, sqrt2, golden):
         for a in (sqrt2, golden, alg("x^3-x-1", 0)):
-            cs = a.conjugates(bits=16)
+            cs = a.conjugate_boxes(Fraction(1, 1 << 16))
             assert len(cs) == a.degree
-            assert cs.bits == 16
             assert all(b.width <= Fraction(1, 1 << 16) for b in cs)
 
     def test_totally_real_closed_under_addition(self):

@@ -10,7 +10,7 @@ from heightbounds.heights import MultiProjectivePoint
 from heightbounds.intervals import Interval
 from heightbounds.verify import CorollaryInstance, build_sum_form, verify_corollary
 
-from conftest import alg
+from conftest import alg, run_with_deadline
 
 
 class TestAlgnum:
@@ -32,6 +32,18 @@ class TestAlgnum:
             jsonio.algnum_from_json({"minpoly": [1]})
         with pytest.raises(jsonio.SchemaError):
             jsonio.algnum_from_json({"minpoly": [-2, 0, 1], "root": {"re": [0], "im": [0, 0]}})
+
+    def test_box_with_two_roots_rejected(self):
+        # the box holds both roots of x^4+1 in the upper half-plane
+        run_with_deadline(
+            "from heightbounds import jsonio\n"
+            "doc = {'minpoly': [1, 0, 0, 0, 1], 'root': {'re': ['-1', '1'], 'im': ['1/2', '1']}}\n"
+            "try:\n"
+            "    jsonio.algnum_from_json(doc)\n"
+            "except jsonio.SchemaError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('a box with two roots was accepted')\n", seconds=4)
 
 
 class TestPoint:

@@ -98,15 +98,16 @@ class TestSurvey:
 
 class TestPartHeights:
     def test_each_part_measured_once(self, monkeypatch):
-        import heightbounds.search as search_mod
+        import heightbounds.heights as heights_mod
         measured = []
+        measure = heights_mod._measure_of_parts
 
-        def counting(a, bits):
-            measured.append(a.minpoly.coeffs)
-            return weil_log_height(a, bits)
+        def counting(f, parts, eps):
+            measured.append(f.coeffs)
+            return measure(f, parts, eps)
 
-        monkeypatch.setattr(search_mod, "weil_log_height", counting)
-        search_mod._part_log_height.cache_clear()
+        monkeypatch.setattr(heights_mod, "_measure_of_parts", counting)
+        heights_mod._minpoly_log_height.cache_clear()
         # one chunk per degree: reducible cubics meet parts of earlier chunks
         res = min_height_survey(SearchSpace(1, 3, 2), bits=64)
         assert sorted(measured) == sorted(r.minpoly.coeffs for r in res.records)
