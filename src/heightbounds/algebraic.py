@@ -5,9 +5,10 @@ Root boxes belong to the polynomial: one bounded store per polynomial holds
 its canonical isolation and, per conjugate, boxes at fixed anchor widths,
 and only the store refines a box.  Field arithmetic goes through
 resultants built by evaluation/interpolation (integer Sylvester
-determinants), factored; the factor and conjugate are selected against a
-shrinking enclosure of the value.  Rational operands take direct
-shift/scale paths, which isolate nothing.
+determinants), factored; one routine, `_select`, picks the factor and
+conjugate against enclosures of the value along one fixed schedule of
+widths, `_WIDTHS`.  Rational operands take direct shift/scale paths, which
+isolate nothing.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ _X = IntPolynomial([0, 1])
 # the one before it; a finer schedule costs more than it saves.
 _ANCHORS = tuple(Fraction(1, 1 << bits) for bits in (256, 128, 64))
 
-# Widths at which `_conjugates_in` looks again at the conjugates it has not
-# settled; a fixed, finite schedule, so a box that holds two roots is
-# rejected at once.
-_SCAN_WIDTHS = (None,) + tuple(Fraction(1, 1 << bits) for bits in (16, 32, 64, 128, 256))
+# The one schedule of root selection: the isolating box (None), then
+# 2^-16 ... 2^-256.  `_conjugates_in` and `_select` walk it; it is finite,
+# so a box that holds two roots, or none, is rejected at once.
+_WIDTHS = (None,) + tuple(Fraction(1, 1 << bits) for bits in (16, 32, 64, 128, 256))
 
 
 @lru_cache(maxsize=4096)
@@ -76,20 +77,27 @@ def _inside(box: RootBox, rect: Rect) -> bool:
     return rect.re.contains_interval(box.re) and rect.im.contains_interval(box.im)
 
 
-def _conjugates_in(f: IntPolynomial, rect: Rect) -> list[int]:
+def _holds_root(f: IntPolynomial, rect: Rect) -> bool:
+    """True when rect is a real interval on which f changes sign, so that
+    it certainly holds a root of f."""
+    return rect.im.lo == rect.im.hi == 0 and f.sign_at(rect.re.lo) * f.sign_at(rect.re.hi) <= 0
+
+
+def _conjugates_in(f: IntPolynomial, rect: Rect, encloses: bool) -> list[int]:
     """Indices of the conjugates of f that can lie in rect.
 
-    Each conjugate's box is refined along `_SCAN_WIDTHS` only until it is
-    inside rect or disjoint from it; the scan stops once at most one
-    conjugate is left or two are certified inside."""
+    Each conjugate's box is refined along `_WIDTHS` only until it is
+    inside rect or disjoint from it; the scan stops once two are certified
+    inside or, when rect is known to hold a root of f (`encloses`), once at
+    most one conjugate is left."""
     inside: list[int] = []
     maybe = list(range(len(_isolated(f))))
-    for eps in _SCAN_WIDTHS:
+    for eps in _WIDTHS:
         boxes = {i: conjugate_box(f, i, eps) for i in maybe}
         maybe = [i for i in maybe if boxes[i].rect().intersects(rect)]
         inside += [i for i in maybe if _inside(boxes[i], rect)]
         maybe = [i for i in maybe if i not in inside]
-        if len(inside) >= 2 or len(inside) + len(maybe) < 2:
+        if len(inside) >= 2 or not maybe or (encloses and len(inside) + len(maybe) < 2):
             break
     return inside + maybe
 
@@ -118,11 +126,9 @@ class AlgebraicNumber:
     __slots__ = ("minpoly", "_base", "_index", "_scale", "_shift")
 
     def __init__(self, minpoly: IntPolynomial, box: RootBox):
-        hits = _conjugates_in(minpoly, box.rect())
-        if len(hits) != 1:
-            raise SelectionError("the box can hold %d roots of %s, not one"
-                                 % (len(hits), minpoly))
-        self.minpoly, self._base, self._index = minpoly, minpoly, hits[0]
+        rect = box.rect()
+        self._index = _select([minpoly], lambda eps: rect, encloses=False)._index
+        self.minpoly = self._base = minpoly
         self._scale, self._shift = Fraction(1), Fraction(0)
 
     # -- constructors -------------------------------------------------------
@@ -140,14 +146,8 @@ class AlgebraicNumber:
         if poly.degree < 1:
             raise PolynomialError("need degree >= 1")
         rect = box.rect()
-        found = [(g, i) for g, _ in factor_over_rationals(poly)
-                 if poly_eval_rect(g.coeffs, rect).contains_zero()
-                 for i in _conjugates_in(g, rect)]
-        if len(found) != 1:
-            raise SelectionError("the box can hold %d roots of %s, not one"
-                                 % (len(found), poly))
-        g, i = found[0]
-        return _number(g, g, i)
+        return _select([g for g, _ in factor_over_rationals(poly)], lambda eps: rect,
+                       encloses=False)
 
     @classmethod
     def zero(cls) -> "AlgebraicNumber":
@@ -217,7 +217,8 @@ class AlgebraicNumber:
         return complex(float(b.re.mid), float(b.im.mid))
 
     def __repr__(self):
-        b = self.box()
+        # 2^-32 certifies the 6 significant digits printed
+        b = self.box(Fraction(1, 1 << 32))
         if b.is_real:
             return "AlgebraicNumber(%s @ ~%.6g)" % (self.minpoly, float(b.re.mid))
         return "AlgebraicNumber(%s @ ~%.6g%+.6gi)" % (
@@ -244,13 +245,7 @@ class AlgebraicNumber:
         polynomial."""
         if self._base == self.minpoly and self._scale == 1 and self._shift == 0:
             return self._index
-        canon = _isolated(self.minpoly)
-        b = self.box()
-        while True:
-            hits = [i for i, cb in enumerate(canon) if cb.intersects(b)]
-            if len(hits) == 1:
-                return hits[0]
-            b = self.box(b.width / 4)
+        return _select([self.minpoly], lambda eps: self.box(eps).rect())._index
 
     def is_totally_real(self) -> bool:
         return count_real_roots(self.minpoly) == self.degree
@@ -295,12 +290,8 @@ class AlgebraicNumber:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return AlgebraicNumber.from_rational(1 / self.as_fraction())
-        mp = self.minpoly.reverse().canonical()
-
-        def value(k: int) -> Rect:
-            return rect_inverse(self._box_off_zero(Fraction(1, 1 << (16 + 8 * k))).rect())
-
-        return _select([mp], value)
+        return _select([self.minpoly.reverse().canonical()],
+                       lambda eps: rect_inverse(self._box_off_zero(eps).rect()))
 
     def add(self, other: "AlgebraicNumber", cap: int = DEFAULT_DEGREE_CAP) -> "AlgebraicNumber":
         if self.is_rational():
@@ -309,13 +300,8 @@ class AlgebraicNumber:
             return self._add_rational(other.as_fraction())
         _check_cap(self.degree * other.degree, cap)
         res = _resultant_sum(self.minpoly, other.minpoly)
-        factors = [g for g, _ in factor_over_rationals(res)]
-
-        def value(k: int) -> Rect:
-            eps = Fraction(1, 1 << (16 + 8 * k))
-            return self.box(eps).rect() + other.box(eps).rect()
-
-        return _select(factors, value)
+        return _select([g for g, _ in factor_over_rationals(res)],
+                       lambda eps: self.box(eps).rect() + other.box(eps).rect())
 
     __add__ = add
 
@@ -331,13 +317,8 @@ class AlgebraicNumber:
             return self._mul_rational(other.as_fraction())
         _check_cap(self.degree * other.degree, cap)
         res = _resultant_product(self.minpoly, other.minpoly)
-        factors = [g for g, _ in factor_over_rationals(res)]
-
-        def value(k: int) -> Rect:
-            eps = Fraction(1, 1 << (16 + 8 * k))
-            return self.box(eps).rect() * other.box(eps).rect()
-
-        return _select(factors, value)
+        return _select([g for g, _ in factor_over_rationals(res)],
+                       lambda eps: self.box(eps).rect() * other.box(eps).rect())
 
     __mul__ = mul
 
@@ -468,17 +449,9 @@ def _resultant_product(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     return _interpolate_int_poly(pts)
 
 
-def _eval_points(count: int):
-    yield 0
-    k = 1
-    produced = 1
-    while produced < count:
-        yield k
-        produced += 1
-        if produced < count:
-            yield -k
-            produced += 1
-        k += 1
+def _eval_points(count: int) -> list[int]:
+    """0, 1, -1, 2, -2, ...: the first `count` integers by magnitude."""
+    return [0] + [s * k for k in range(1, count) for s in (1, -1)][:count - 1]
 
 
 def _compose_linear(g: IntPolynomial, c: int) -> IntPolynomial:
@@ -500,25 +473,31 @@ def _check_cap(composite_degree: int, cap: int):
 # factor selection
 
 
-def _select(factors: list[IntPolynomial], value,
-            max_rounds: int = 64) -> AlgebraicNumber:
-    """Pick the unique (factor, conjugate) consistent with the value enclosure.
+def _select(factors: list[IntPolynomial], value, encloses: bool = True) -> AlgebraicNumber:
+    """The unique (factor, conjugate) that the value enclosure singles out.
 
-    `value(k)` returns a Rect enclosing the true value, shrinking with k.
-    """
-    for k in range(max_rounds):
-        c = value(k)
-        alive = [g for g in factors
-                 if poly_eval_rect(g.coeffs, c).contains_zero()]
-        if not alive:
-            raise SelectionError("no factor is consistent with the enclosure")
-        if len(alive) == 1:
-            g = alive[0]
-            hits = _conjugates_in(g, c)
-            if len(hits) == 1:
-                return _number(g, g, hits[0])
-        # tighten the value enclosure and start over
-    raise SelectionError("factor selection did not converge")
+    `value(eps)` is a Rect around the number, about eps wide (eps None: the
+    isolating boxes).  Along `_WIDTHS`, while two or more factors are left,
+    those that do not vanish on the enclosure are dropped; once one factor
+    is left, or at the last width, the conjugates that can lie in the
+    enclosure are counted.  `encloses` is False for a box given as input,
+    which may hold no root: there a lone conjugate not yet certified inside
+    counts only after a sign change on the real interval, or when it is
+    still undecided at the last width."""
+    hits: list[tuple[IntPolynomial, int]] = []
+    for eps in _WIDTHS:
+        rect = value(eps)
+        if len(factors) > 1:
+            factors = [g for g in factors if poly_eval_rect(g.coeffs, rect).contains_zero()]
+        if len(factors) < 2 or eps is _WIDTHS[-1]:
+            hits = [(g, i) for g in factors for i in _conjugates_in(
+                g, rect, encloses and len(factors) == 1 or _holds_root(g, rect))]
+            if len(hits) < 2:
+                break
+    if len(hits) != 1:
+        raise SelectionError("the enclosure can hold %d roots, not one" % len(hits))
+    g, i = hits[0]
+    return _number(g, g, i)
 
 
 # ---------------------------------------------------------------------------

@@ -30,22 +30,17 @@ class ThresholdError(ValueError):
 # the exact threshold rho
 
 
-def _unit_interval_root(h: IntPolynomial, bits: int) -> Interval:
-    """Bisect the unique root of an increasing h with h(0) < 0 < h(1)."""
-    lo, hi = Fraction(0), Fraction(1)
-    if h.sign_at(lo) >= 0 or h.sign_at(hi) <= 0:
+def _unit_interval_root(a: int, b: int, gamma: Fraction) -> AlgebraicNumber:
+    """The root w in (0, 1) of gamma^-1 w^a + w^b = 1, cleared to integer
+    coefficients; the left side increases on (0, 1)."""
+    coeffs = [0] * (max(a, b) + 1)
+    coeffs[0] -= gamma.numerator
+    coeffs[a] += gamma.denominator
+    coeffs[b] += gamma.numerator
+    h = IntPolynomial(coeffs)
+    if h.sign_at(0) >= 0 or h.sign_at(1) <= 0:
         raise ThresholdError("no sign change on (0, 1)")
-    target = Fraction(1, 1 << bits)
-    while hi - lo > target:
-        m = (lo + hi) / 2
-        s = h.sign_at(m)
-        if s == 0:
-            return Interval(m, m)
-        if s < 0:
-            lo = m
-        else:
-            hi = m
-    return Interval(lo, hi)
+    return AlgebraicNumber.from_root(h, RootBox(Interval(Fraction(0), Fraction(1))))
 
 
 @lru_cache(maxsize=32)
@@ -55,8 +50,8 @@ def rho(c_f: int, dlt, bits: int = 128) -> tuple[AlgebraicNumber, Interval]:
 
     With delta = p/q in lowest terms and w = x^(-1/q), the equation clears to
     c_f w^(2q) + w^p - c_f = 0 with a unique root w in (0, 1); rho = w^-q.
-    Results are cached and shared: the tuple and the interval are immutable
-    and the algebraic number only ever narrows its box.
+    Results are cached and shared: the tuple, the interval and the
+    algebraic number are immutable.
     """
     dlt = Fraction(dlt)
     c_f = int(c_f)
@@ -68,13 +63,7 @@ def rho(c_f: int, dlt, bits: int = 128) -> tuple[AlgebraicNumber, Interval]:
         raise ThresholdError(
             "delta = 0 requires C_F > 1 for a root larger than 1 to exist")
     p, q = dlt.numerator, dlt.denominator
-    coeffs = [0] * (max(2 * q, p) + 1)
-    coeffs[0] -= c_f
-    coeffs[p] += 1
-    coeffs[2 * q] += c_f
-    h = IntPolynomial(coeffs)
-    seed = _unit_interval_root(h, 64)
-    w = AlgebraicNumber.from_root(h, RootBox(seed))
+    w = _unit_interval_root(p, 2 * q, Fraction(c_f))
     value = w.pow(q).inv()
     # sanity: rho > 1 and the defining equation holds on the enclosure
     if value.sub(AlgebraicNumber.one()).sign() <= 0:
@@ -164,7 +153,7 @@ def minimize_on_interval(f_iv, lo: Fraction, hi: Fraction, value_bits: int,
 
 class SegmentMinSolution:
     """Minimum of u*log(g*u/(u+v)) + v*log(v/(u+v)) on u,v >= 0,
-    alpha*u + beta*v = 1, with the independently bisected threshold root."""
+    alpha*u + beta*v = 1, with the independently computed threshold root."""
 
     __slots__ = ("u", "v", "value", "root", "exp_neg_value")
 
@@ -183,18 +172,13 @@ class SegmentMinSolution:
 def threshold_root(alpha: Fraction, beta: Fraction, gamma: Fraction,
                    bits: int = 96) -> Interval:
     """Enclosure of the root > 1 of gamma^-1 x^-alpha + x^-beta = 1, via
-    bisection of the integer-cleared equation in w = x^(-1/Q)."""
+    the root w in (0, 1) of the integer-cleared equation in w = x^(-1/Q)."""
     qa, qb = alpha.denominator, beta.denominator
     big_q = qa * qb // gcd(qa, qb)
     a = alpha.numerator * (big_q // qa)
     b = beta.numerator * (big_q // qb)
-    gn, gd = gamma.numerator, gamma.denominator
-    coeffs = [0] * (max(a, b) + 1)
-    coeffs[0] -= gn
-    coeffs[a] += gd
-    coeffs[b] += gn
-    h = IntPolynomial(coeffs)
-    w = _unit_interval_root(h, bits + max(a, b).bit_length() + 8)
+    w = _unit_interval_root(a, b, gamma).interval(
+        Fraction(1, 1 << (bits + max(a, b).bit_length() + 8)))
     return w.inverse().pow_int(big_q)
 
 

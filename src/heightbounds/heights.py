@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd, isqrt
 
-from .algebraic import AlgebraicNumber, conjugate_box
+from .algebraic import AlgebraicNumber, as_algebraic, conjugate_box
 from .factor import factor_over_rationals
 from .intervals import Interval, ln_fraction
 from .polys import IntPolynomial, is_cyclotomic
@@ -181,12 +181,6 @@ def _coord_is_zero(c) -> bool:
     return c == 0
 
 
-def _as_algebraic(c) -> AlgebraicNumber:
-    if isinstance(c, AlgebraicNumber):
-        return c
-    return AlgebraicNumber.from_rational(c)
-
-
 def block_log_height(block, bits: int = DEFAULT_BITS) -> HeightValue:
     """log H of one projective block (not yet weighted by n_i + 1)."""
     if all(not isinstance(c, AlgebraicNumber) or c.is_rational() for c in block):
@@ -203,7 +197,7 @@ def block_log_height(block, bits: int = DEFAULT_BITS) -> HeightValue:
         return HeightValue(Interval(0), bits)
     if _coord_is_zero(x1):
         return HeightValue(Interval(0), bits)
-    alpha = _as_algebraic(x1).div(_as_algebraic(x0))
+    alpha = as_algebraic(x1).div(as_algebraic(x0))
     return weil_log_height(alpha, bits)
 
 

@@ -13,7 +13,7 @@ import hashlib
 import json
 import multiprocessing
 import os
-import time
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber, _isolated
@@ -114,22 +114,20 @@ class SearchSpace:
 
 
 class SearchRecord:
-    __slots__ = ("minpoly", "degree", "logh", "flags", "timestamp", "worker")
+    __slots__ = ("minpoly", "degree", "logh", "flags")
 
-    def __init__(self, minpoly, degree, logh, flags, timestamp=0.0, worker=0):
+    def __init__(self, minpoly, degree, logh, flags):
         self.minpoly = minpoly
         self.degree = degree
         self.logh = logh
         self.flags = tuple(flags)
-        self.timestamp = timestamp
-        self.worker = worker
 
     def sort_key(self):
         return (self.logh.lo, self.degree, self.minpoly.coeffs)
 
     def to_json_dict(self) -> dict:
-        # the stable on-disk schema carries no timestamps or worker ids, so
-        # record files are byte-identical across worker counts
+        # the schema holds nothing that depends on the run, so record files
+        # are byte-identical across worker counts
         return {
             "minpoly": list(self.minpoly.coeffs),
             "deg": self.degree,
@@ -162,7 +160,7 @@ _TRIVIAL = {(0, 1), (-1, 1), (1, 1)}  # minpolys of 0, 1, -1
 
 
 def _examine_candidate(space: SearchSpace, f: IntPolynomial, bits: int,
-                       seen: dict, stats: dict, worker: int):
+                       seen: dict, stats: dict):
     """Run one enumerated candidate through factorization and predicates."""
     stats["candidates"] += 1
     facs = [g for g, _ in factor_over_rationals(f) if g.degree >= 1]
@@ -193,8 +191,7 @@ def _examine_candidate(space: SearchSpace, f: IntPolynomial, bits: int,
         if g.degree != f.degree or g != f:
             flags.append("from-decomposition")
         logh = weil_log_height(AlgebraicNumber(g, _isolated(g)[0]), bits).log_height
-        seen[g.coeffs] = SearchRecord(g, g.degree, logh, flags,
-                                      timestamp=time.time(), worker=worker)
+        seen[g.coeffs] = SearchRecord(g, g.degree, logh, flags)
 
 
 def _new_stats() -> dict:
@@ -209,12 +206,12 @@ def _new_stats() -> dict:
 
 
 def _chunk_worker(args):
-    space, degree, start, end, bits, worker = args
+    space, degree, start, end, bits = args
     seen: dict = {}
     stats = _new_stats()
     for index in range(start, end):
         f = space.poly_at(degree, index)
-        _examine_candidate(space, f, bits, seen, stats, worker)
+        _examine_candidate(space, f, bits, seen, stats)
     return seen, stats
 
 
@@ -271,23 +268,14 @@ def min_height_survey(space: SearchSpace, bits: int = 64, jobs: int = 1,
             seen[rec.minpoly.coeffs] = rec
         resume_position = (rdeg, rindex)
     chunks = _chunks(space, resume_position)
-    args = [(space, d, s, e, bits, w % max(jobs, 1))
-            for w, (d, s, e) in enumerate(chunks)]
-    if jobs <= 1:
-        results = map(_chunk_worker, args)
+    args = [(space, d, s, e, bits) for d, s, e in chunks]
+    with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        results = pool.imap(_chunk_worker, args) if pool else map(_chunk_worker, args)
         for (chunk_seen, chunk_stats), (degree, _s, end) in zip(results, chunks):
             _merge_chunk(seen, stats, chunk_seen, chunk_stats)
             if records_path and cursor_path:
                 _write_checkpoint(space, records_path, cursor_path, seen, stats,
                                   (degree, end))
-    else:
-        with multiprocessing.Pool(jobs) as pool:
-            for (chunk_seen, chunk_stats), (degree, _s, end) in zip(
-                    pool.imap(_chunk_worker, args), chunks):
-                _merge_chunk(seen, stats, chunk_seen, chunk_stats)
-                if records_path and cursor_path:
-                    _write_checkpoint(space, records_path, cursor_path, seen, stats,
-                                      (degree, end))
     records = sorted(seen.values(), key=lambda r: r.sort_key())
     if records_path:
         _atomic_write(records_path, _records_blob(records))

@@ -105,7 +105,7 @@ def _exact_terms(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
     """Exact value of each monomial of F at the point, in monomial order."""
     _require_shape(F, point)
     for exp, coeff in sorted(F.monomials.items()):
-        term = as_algebraic(coeff) if not isinstance(coeff, AlgebraicNumber) else coeff
+        term = as_algebraic(coeff)
         for i, row in enumerate(exp):
             for j, m in enumerate(row):
                 if m:

@@ -52,6 +52,18 @@ class TestConstruction:
             "else:\n"
             "    raise AssertionError('a box with two roots was accepted')\n", seconds=4)
 
+    def test_box_without_root_rejected(self):
+        from heightbounds.algebraic import SelectionError
+        from heightbounds.intervals import Interval
+        from heightbounds.roots import RootBox
+        # the real root 0.7549 lies outside [-1, 0], which meets its
+        # isolating box; the other two roots are non-real
+        f = P("x^3+x^2-1")
+        for make in (AlgebraicNumber.from_root, AlgebraicNumber):
+            with pytest.raises(SelectionError):
+                make(f, RootBox(Interval(-1, 0)))
+        assert AlgebraicNumber.from_root(f, RootBox(Interval(0, 1))).sign() == 1
+
     def test_degree_one_rationals(self):
         a = as_algebraic(Fraction(7, 3))
         assert a.is_rational() and a.as_fraction() == Fraction(7, 3)
@@ -176,6 +188,15 @@ class TestPredicates:
             b = alg(rng.choice(pool), rng.randrange(2))
             assert a.is_totally_real() and b.is_totally_real()
             assert (a + b).is_totally_real()
+
+
+class TestRepr:
+    def test_digits_are_certified(self, sqrt2, golden):
+        assert repr(sqrt2) == "AlgebraicNumber(x^2 - 2 @ ~1.41421)"
+        assert repr(as_algebraic(3) - golden) == "AlgebraicNumber(x^2 - 5*x + 5 @ ~1.38197)"
+        assert ({repr(alg("x^2+x+1", i)) for i in range(2)}
+                == {"AlgebraicNumber(x^2 + x + 1 @ ~-0.5+0.866025i)",
+                    "AlgebraicNumber(x^2 + x + 1 @ ~-0.5-0.866025i)"})
 
 
 class TestAgainstSympyMinpoly:

@@ -32,6 +32,10 @@ class TestAlgnum:
             jsonio.algnum_from_json({"minpoly": [1]})
         with pytest.raises(jsonio.SchemaError):
             jsonio.algnum_from_json({"minpoly": [-2, 0, 1], "root": {"re": [0], "im": [0, 0]}})
+        # no root in the box: the only real root of 1 - x^2 - x^3 is 0.7549
+        with pytest.raises(jsonio.SchemaError):
+            jsonio.algnum_from_json({"minpoly": [1, 0, -1, -1],
+                                     "root": {"re": ["-1", "0"], "im": ["0", "0"]}})
 
     def test_box_with_two_roots_rejected(self):
         # the box holds both roots of x^4+1 in the upper half-plane

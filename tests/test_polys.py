@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from heightbounds.polys import (IntPolynomial, PolynomialError, count_real_roots,
@@ -11,6 +12,11 @@ from heightbounds.polys import (IntPolynomial, PolynomialError, count_real_roots
 
 def P(text):
     return parse_polynomial(text)
+
+
+def _roots(f):
+    """Floating-point oracle: all complex roots of f."""
+    return mpmath.polyroots(list(reversed(f.coeffs)), maxsteps=200, extraprec=64)
 
 
 class TestArithmetic:
@@ -85,28 +91,26 @@ class TestRealRootCount:
         with pytest.raises(PolynomialError):
             count_real_roots(P("x^2-2*x+1"))
 
-    def test_random_agrees_with_numpy(self):
-        import numpy as np
+    def test_random_agrees_with_mpmath(self):
         rng = random.Random(42)
         for _ in range(25):
             cs = [rng.randint(-20, 20) for _ in range(rng.randint(1, 8))] + [rng.randint(1, 20)]
             f = squarefree_part(IntPolynomial(cs))
             if f.degree < 1:
                 continue
-            roots = np.roots(list(reversed(f.coeffs)))
+            roots = map(complex, _roots(f))
             expected = sum(1 for z in roots if abs(z.imag) < 1e-9)
             assert count_real_roots(f) == expected
 
 
 class TestRootBound:
     def test_all_roots_inside(self):
-        import numpy as np
         rng = random.Random(3)
         for _ in range(20):
             cs = [rng.randint(-9, 9) for _ in range(5)] + [rng.randint(1, 9)]
             f = IntPolynomial(cs)
             bound = float(root_bound(f))
-            assert all(abs(z) < bound for z in np.roots(list(reversed(f.coeffs))))
+            assert all(abs(complex(z)) < bound for z in _roots(f))
 
 
 class TestCyclotomic:
