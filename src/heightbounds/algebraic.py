@@ -481,18 +481,18 @@ def _select(factors: list[IntPolynomial], value, encloses: bool = True) -> Algeb
     those that do not vanish on the enclosure are dropped; once one factor
     is left, or at the last width, the conjugates that can lie in the
     enclosure are counted.  `encloses` is False for a box given as input,
-    which may hold no root: there a lone conjugate not yet certified inside
-    counts only after a sign change on the real interval, or when it is
-    still undecided at the last width."""
+    which is fixed and so counted once, and which may hold no root: there a
+    lone conjugate not yet certified inside counts only after a sign change
+    on the real interval, or when it is still undecided at the last width."""
     hits: list[tuple[IntPolynomial, int]] = []
     for eps in _WIDTHS:
         rect = value(eps)
         if len(factors) > 1:
             factors = [g for g in factors if poly_eval_rect(g.coeffs, rect).contains_zero()]
-        if len(factors) < 2 or eps is _WIDTHS[-1]:
+        if len(factors) < 2 or not encloses or eps is _WIDTHS[-1]:
             hits = [(g, i) for g in factors for i in _conjugates_in(
                 g, rect, encloses and len(factors) == 1 or _holds_root(g, rect))]
-            if len(hits) < 2:
+            if len(hits) < 2 or not encloses:
                 break
     if len(hits) != 1:
         raise SelectionError("the enclosure can hold %d roots, not one" % len(hits))

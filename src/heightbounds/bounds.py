@@ -19,7 +19,7 @@ from .forms import (ExceptionalSet, MultihomogeneousPolynomial, c_max,
                     degree_data, delta, require_valid)
 from .intervals import Interval, exp_interval, ln_fraction, log_interval, xlogx_interval
 from .polys import IntPolynomial
-from .roots import RootBox
+from .roots import RootBox, refine_real_box
 
 
 class ThresholdError(ValueError):
@@ -30,9 +30,12 @@ class ThresholdError(ValueError):
 # the exact threshold rho
 
 
-def _unit_interval_root(a: int, b: int, gamma: Fraction) -> AlgebraicNumber:
-    """The root w in (0, 1) of gamma^-1 w^a + w^b = 1, cleared to integer
-    coefficients; the left side increases on (0, 1)."""
+_UNIT = RootBox(Interval(Fraction(0), Fraction(1)))
+
+
+def _cleared(a: int, b: int, gamma: Fraction) -> IntPolynomial:
+    """gamma^-1 w^a + w^b - 1 cleared to integer coefficients; it increases
+    on (0, 1), so the sign change there isolates its one root in [0, 1]."""
     coeffs = [0] * (max(a, b) + 1)
     coeffs[0] -= gamma.numerator
     coeffs[a] += gamma.denominator
@@ -40,7 +43,7 @@ def _unit_interval_root(a: int, b: int, gamma: Fraction) -> AlgebraicNumber:
     h = IntPolynomial(coeffs)
     if h.sign_at(0) >= 0 or h.sign_at(1) <= 0:
         raise ThresholdError("no sign change on (0, 1)")
-    return AlgebraicNumber.from_root(h, RootBox(Interval(Fraction(0), Fraction(1))))
+    return h
 
 
 @lru_cache(maxsize=32)
@@ -63,7 +66,7 @@ def rho(c_f: int, dlt, bits: int = 128) -> tuple[AlgebraicNumber, Interval]:
         raise ThresholdError(
             "delta = 0 requires C_F > 1 for a root larger than 1 to exist")
     p, q = dlt.numerator, dlt.denominator
-    w = _unit_interval_root(p, 2 * q, Fraction(c_f))
+    w = AlgebraicNumber.from_root(_cleared(p, 2 * q, Fraction(c_f)), _UNIT)
     value = w.pow(q).inv()
     # sanity: rho > 1 and the defining equation holds on the enclosure
     if value.sub(AlgebraicNumber.one()).sign() <= 0:
@@ -172,13 +175,14 @@ class SegmentMinSolution:
 def threshold_root(alpha: Fraction, beta: Fraction, gamma: Fraction,
                    bits: int = 96) -> Interval:
     """Enclosure of the root > 1 of gamma^-1 x^-alpha + x^-beta = 1, via
-    the root w in (0, 1) of the integer-cleared equation in w = x^(-1/Q)."""
+    sign-change and interval-Newton refinement of the root w in (0, 1) of the
+    integer-cleared equation in w = x^(-1/Q); nothing is factored or isolated."""
     qa, qb = alpha.denominator, beta.denominator
     big_q = qa * qb // gcd(qa, qb)
     a = alpha.numerator * (big_q // qa)
     b = beta.numerator * (big_q // qb)
-    w = _unit_interval_root(a, b, gamma).interval(
-        Fraction(1, 1 << (bits + max(a, b).bit_length() + 8)))
+    w = refine_real_box(_cleared(a, b, gamma), _UNIT,
+                        Fraction(1, 1 << (bits + max(a, b).bit_length() + 8))).re
     return w.inverse().pow_int(big_q)
 
 

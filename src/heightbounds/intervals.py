@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 _GUARD = 24  # extra working bits on top of a requested precision
 
@@ -135,7 +135,7 @@ class Interval:
     def round_out(self, bits: int) -> "Interval":
         """Widen endpoints outward onto the 2^-bits dyadic grid (keeps fractions small)."""
         scale = 1 << bits
-        lo = Fraction(_floor_div(self.lo.numerator * scale, self.lo.denominator), scale)
+        lo = Fraction(self.lo.numerator * scale // self.lo.denominator, scale)
         hi = Fraction(_ceil_div(self.hi.numerator * scale, self.hi.denominator), scale)
         return Interval(lo, hi)
 
@@ -144,10 +144,6 @@ def _as_interval(x) -> Interval:
     if isinstance(x, Interval):
         return x
     return Interval(x)
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -164,7 +160,7 @@ def _ln2_scaled(w: int) -> tuple[int, int]:
     # atanh(1/3) = sum (1/3)^(2k+1) / (2k+1)
     one = 1 << w
     lo = hi = 0
-    p_lo = _floor_div(one, 3)
+    p_lo = one // 3
     p_hi = p_lo + 1
     k = 0
     while True:
@@ -184,7 +180,7 @@ def _ln_scaled_between_1_and_2(num: int, den: int, w: int) -> tuple[int, int]:
     """Enclosure of ln(num/den) scaled by 2^w, for 1 <= num/den < 2."""
     # u = (r-1)/(r+1) in [0, 1/3); ln r = 2*atanh(u)
     un, ud = num - den, num + den
-    u_lo = _floor_div(un << w, ud)
+    u_lo = (un << w) // ud
     u_hi = u_lo + 1
     if u_lo == 0 and un == 0:
         return 0, 0
@@ -253,7 +249,7 @@ def _exp_scaled(q: Fraction, w: int) -> tuple[int, int]:
     r_iv = Interval(q) - Interval(Fraction(k * l2_lo, scale), Fraction(k * l2_hi, scale)) \
         if k >= 0 else Interval(q) - Interval(Fraction(k * l2_hi, scale), Fraction(k * l2_lo, scale))
     # |r| <= ~0.35; Taylor sum of r^n / n!
-    r_lo = _floor_div(r_iv.lo.numerator * scale, r_iv.lo.denominator)
+    r_lo = r_iv.lo.numerator * scale // r_iv.lo.denominator
     r_hi = _ceil_div(r_iv.hi.numerator * scale, r_iv.hi.denominator)
     term_lo, term_hi = scale, scale  # n = 0 term
     s_lo, s_hi = scale, scale
@@ -261,7 +257,7 @@ def _exp_scaled(q: Fraction, w: int) -> tuple[int, int]:
     while True:
         # multiply by r (interval, may be negative), divide by n
         cands = (term_lo * r_lo, term_lo * r_hi, term_hi * r_lo, term_hi * r_hi)
-        t_lo = _floor_div(min(cands) >> w, n)
+        t_lo = (min(cands) >> w) // n
         t_hi = _ceil_div(max(cands) >> w, n) + 1
         s_lo += t_lo
         s_hi += t_hi
@@ -435,10 +431,15 @@ def poly_eval_rect(coeffs, z: Rect) -> Rect:
 
 
 def poly_eval_interval(coeffs, x: Interval) -> Interval:
-    acc = Interval(0)
+    """Interval Horner, run on the integers q^k acc (q the common denominator
+    of x), so no gcd is taken and no big fractions are compared per step."""
+    q = lcm(x.lo.denominator, x.hi.denominator)
+    a, b = x.lo.numerator * (q // x.lo.denominator), x.hi.numerator * (q // x.hi.denominator)
+    lo, hi, qk = 0, 0, 1
     for c in reversed(coeffs):
-        acc = acc * x + Interval(c)
-    return acc
+        cands = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi, qk = min(cands) + c * qk, max(cands) + c * qk, qk * q
+    return Interval(Fraction(lo * q, qk), Fraction(hi * q, qk))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +449,7 @@ def poly_eval_interval(coeffs, x: Interval) -> Interval:
 def decimal_lower(x: Fraction, digits: int) -> str:
     """Decimal string <= x with `digits` places after the point."""
     scale = 10 ** digits
-    v = _floor_div(x.numerator * scale, x.denominator)
+    v = x.numerator * scale // x.denominator
     return _place_point(v, digits)
 
 
@@ -480,7 +481,7 @@ def decimal_midpoint(iv: Interval, max_digits: int = 15) -> tuple[str, str]:
             digits += 1
     mid = iv.mid
     scale = 10 ** digits
-    v = _floor_div(mid.numerator * scale + mid.denominator // 2, mid.denominator)
+    v = (mid.numerator * scale + mid.denominator // 2) // mid.denominator
     pm = rad + abs(mid - Fraction(v, scale))
     return _place_point(v, digits), _format_pm(pm)
 

@@ -137,8 +137,13 @@ class IntPolynomial:
         return acc
 
     def sign_at(self, x: Fraction) -> int:
-        v = self(x)
-        return (v > 0) - (v < 0)
+        """Sign of f(p/q), read from the integer q^d f(p/q): Horner over
+        integers, with no gcd per step."""
+        p, q = x.numerator, x.denominator
+        acc, qk = 0, 1
+        for c in reversed(self.coeffs):
+            acc, qk = acc * p + c * qk, qk * q
+        return (acc > 0) - (acc < 0)
 
     def sign_at_inf(self, positive: bool) -> int:
         """Sign of the polynomial at +inf or -inf."""

@@ -231,3 +231,11 @@ class TestThresholdRoot:
             value, _ = rho(cf, dlt, bits=80)
             box = value.box(Fraction(1, 1 << 80))
             assert iv.intersects(Interval(box.re.lo - TOL9, box.re.hi + TOL9))
+
+    def test_high_degree_cleared_equation(self):
+        # x^-1 + x^-301 = 1 clears to w + w^301 = 1: refined at degree 301,
+        # with no factoring or isolation of the cleared polynomial
+        iv = threshold_root(Fraction(1), Fraction(301), Fraction(1), bits=64)
+        assert iv.width < Fraction(1, 1 << 60)
+        inv = iv.inverse()
+        assert (inv + inv.pow_int(301)).contains(1)
