@@ -73,10 +73,6 @@ def conjugate_box(f: IntPolynomial, index: int, eps: Fraction | None = None) -> 
     return refine_box(f, box, eps) if box.width > eps else box
 
 
-def _inside(box: RootBox, rect: Rect) -> bool:
-    return rect.re.contains_interval(box.re) and rect.im.contains_interval(box.im)
-
-
 def _holds_root(f: IntPolynomial, rect: Rect) -> bool:
     """True when rect is a real interval on which f changes sign, so that
     it certainly holds a root of f."""
@@ -94,8 +90,8 @@ def _conjugates_in(f: IntPolynomial, rect: Rect, encloses: bool) -> list[int]:
     maybe = list(range(len(_isolated(f))))
     for eps in _WIDTHS:
         boxes = {i: conjugate_box(f, i, eps) for i in maybe}
-        maybe = [i for i in maybe if boxes[i].rect().intersects(rect)]
-        inside += [i for i in maybe if _inside(boxes[i], rect)]
+        maybe = [i for i in maybe if boxes[i].intersects(rect)]
+        inside += [i for i in maybe if rect.contains_rect(boxes[i])]
         maybe = [i for i in maybe if i not in inside]
         if len(inside) >= 2 or not maybe or (encloses and len(inside) + len(maybe) < 2):
             break
@@ -119,17 +115,20 @@ class AlgebraicNumber:
     The value is `scale * theta + shift`, where theta is root `index` of
     `base` in canonical order and `minpoly` is the value's own minimal
     polynomial.  Every enclosure is read from the conjugate store; the
-    number holds no box.  `AlgebraicNumber(minpoly, box)` names the root
-    of minpoly that the box singles out.
+    number holds no box.
     """
 
     __slots__ = ("minpoly", "_base", "_index", "_scale", "_shift")
 
-    def __init__(self, minpoly: IntPolynomial, box: RootBox):
-        rect = box.rect()
-        self._index = _select([minpoly], lambda eps: rect, encloses=False)._index
-        self.minpoly = self._base = minpoly
-        self._scale, self._shift = Fraction(1), Fraction(0)
+    def __init__(self, poly: IntPolynomial, box: Rect):
+        """The root of (possibly reducible) poly in box; raises SelectionError
+        unless exactly one root of poly can lie in the box."""
+        if poly.degree < 1:
+            raise PolynomialError("need degree >= 1")
+        root = _select([g for g, _ in factor_over_rationals(poly)], lambda eps: box,
+                       encloses=False)
+        self.minpoly = self._base = root.minpoly
+        self._index, self._scale, self._shift = root._index, Fraction(1), Fraction(0)
 
     # -- constructors -------------------------------------------------------
 
@@ -140,14 +139,9 @@ class AlgebraicNumber:
         return _number(mp, mp, 0)
 
     @classmethod
-    def from_root(cls, poly: IntPolynomial, box: RootBox) -> "AlgebraicNumber":
-        """The root of (possibly reducible) poly in box; raises SelectionError
-        unless exactly one root of poly can lie in the box."""
-        if poly.degree < 1:
-            raise PolynomialError("need degree >= 1")
-        rect = box.rect()
-        return _select([g for g, _ in factor_over_rationals(poly)], lambda eps: rect,
-                       encloses=False)
+    def from_root(cls, poly: IntPolynomial, box: Rect) -> "AlgebraicNumber":
+        """The classmethod spelling of `AlgebraicNumber(poly, box)`."""
+        return cls(poly, box)
 
     @classmethod
     def zero(cls) -> "AlgebraicNumber":
@@ -245,7 +239,7 @@ class AlgebraicNumber:
         polynomial."""
         if self._base == self.minpoly and self._scale == 1 and self._shift == 0:
             return self._index
-        return _select([self.minpoly], lambda eps: self.box(eps).rect())._index
+        return _select([self.minpoly], self.box)._index
 
     def is_totally_real(self) -> bool:
         return count_real_roots(self.minpoly) == self.degree
@@ -265,7 +259,7 @@ class AlgebraicNumber:
         """A box of width <= eps (when given) that excludes 0; the number
         must be nonzero."""
         b = self.box(eps)
-        while b.rect().contains_zero():
+        while b.contains_zero():
             b = self.box(b.width / 4)
         return b
 
@@ -291,7 +285,7 @@ class AlgebraicNumber:
         if self.is_rational():
             return AlgebraicNumber.from_rational(1 / self.as_fraction())
         return _select([self.minpoly.reverse().canonical()],
-                       lambda eps: rect_inverse(self._box_off_zero(eps).rect()))
+                       lambda eps: rect_inverse(self._box_off_zero(eps)))
 
     def add(self, other: "AlgebraicNumber", cap: int = DEFAULT_DEGREE_CAP) -> "AlgebraicNumber":
         if self.is_rational():
@@ -301,7 +295,7 @@ class AlgebraicNumber:
         _check_cap(self.degree * other.degree, cap)
         res = _resultant_sum(self.minpoly, other.minpoly)
         return _select([g for g, _ in factor_over_rationals(res)],
-                       lambda eps: self.box(eps).rect() + other.box(eps).rect())
+                       lambda eps: self.box(eps) + other.box(eps))
 
     __add__ = add
 
@@ -318,7 +312,7 @@ class AlgebraicNumber:
         _check_cap(self.degree * other.degree, cap)
         res = _resultant_product(self.minpoly, other.minpoly)
         return _select([g for g, _ in factor_over_rationals(res)],
-                       lambda eps: self.box(eps).rect() * other.box(eps).rect())
+                       lambda eps: self.box(eps) * other.box(eps))
 
     __mul__ = mul
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -33,8 +32,6 @@ EXIT_UNDECIDED = 2
 EXIT_ERROR = 3
 EXIT_USAGE = 64
 
-ENV_PRECISION = "HEIGHTBOUNDS_PRECISION"
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -47,18 +44,6 @@ class CliError(Exception):
     def __init__(self, message, code=EXIT_ERROR):
         super().__init__(message)
         self.code = code
-
-
-def _default_precision() -> int:
-    raw = os.environ.get(ENV_PRECISION, "")
-    if raw:
-        try:
-            v = int(raw)
-            if v >= 32:
-                return v
-        except ValueError:
-            pass
-    return 128
 
 
 def _load_json(path: str):
@@ -288,9 +273,8 @@ def build_parser() -> _Parser:
     top = _Parser(prog="heightbounds",
                   description="Exact heights of algebraic numbers and certified "
                               "lower-bound constants for multihomogeneous forms")
-    top.add_argument("--precision", type=int, default=_default_precision(),
-                     help="working precision in bits (default %(default)s, "
-                          "env " + ENV_PRECISION + ")")
+    top.add_argument("--precision", type=int, default=128,
+                     help="working precision in bits (default %(default)s)")
     top.add_argument("--format", choices=("json", "text"), default="json")
     top.add_argument("--jobs", type=int, default=1)
     top.add_argument("--cap", type=int, default=64,

@@ -9,6 +9,7 @@ package targets (<= ~64; practical inputs stay below ~30).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import ceil, isqrt, log2
 
@@ -293,16 +294,27 @@ def _hensel_lift(p, f, modular_factors, l) -> list[IntPolynomial]:
 # Zassenhaus over Z
 
 
-def _small_primes(limit=100000):
-    sieve = bytearray([1]) * limit
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit) + 1):
+@lru_cache(maxsize=None)
+def _odd_primes_below(n: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * n
+    for i in range(3, isqrt(n) + 1, 2):
         if sieve[i]:
-            sieve[i * i::i] = b"\x00" * len(sieve[i * i::i])
-    return [i for i in range(limit) if sieve[i]]
+            sieve[i * i::2 * i] = bytes(len(range(i * i, n, 2 * i)))
+    return tuple(i for i in range(3, n, 2) if sieve[i])
 
 
-_PRIMES = _small_primes()
+def _odd_primes(limit: int = 100000):
+    """The odd primes below limit in ascending order, sieved in doubling
+    blocks only as far as the caller reads (factoring rarely passes 64)."""
+    done, bound = 0, 64
+    while True:
+        primes = _odd_primes_below(min(bound, limit))
+        yield from primes[done:]
+        if bound >= limit:
+            return
+        done, bound = len(primes), 2 * bound
+
+
 # modular factorizations tried before recombining over the best of them;
 # some polynomials split into many factors modulo every prime
 _USABLE_PRIMES = 8
@@ -322,7 +334,7 @@ def factor_squarefree_primitive(f: IntPolynomial) -> list[IntPolynomial]:
     lc = f.lead
     best = None
     usable = 0
-    for p in _PRIMES[1:]:
+    for p in _odd_primes():
         if lc % p == 0:
             continue
         fp = gf_from_poly(f, p)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber
+from .algebraic import AlgebraicNumber, as_algebraic
 
 
 class FormError(ValueError):
@@ -19,19 +19,10 @@ class InfeasibleWeight(ValueError):
     pass
 
 
-def _norm_coeff(c):
-    if isinstance(c, AlgebraicNumber):
-        if c.is_rational() and c.as_fraction().denominator == 1:
-            return int(c.as_fraction())
-        return c
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return int(c)
-        # property (i) will flag this in validate(); keep it representable
-        return AlgebraicNumber.from_rational(c)
-    if isinstance(c, int):
-        return c
-    raise FormError("unsupported coefficient %r" % (c,))
+def _norm_coeff(c) -> AlgebraicNumber:
+    if not isinstance(c, (int, Fraction, AlgebraicNumber)):
+        raise FormError("unsupported coefficient %r" % (c,))
+    return as_algebraic(c)
 
 
 class MultihomogeneousPolynomial:
@@ -39,7 +30,8 @@ class MultihomogeneousPolynomial:
 
     blocks are indexed 0..r-1; block i has coordinates x_{i,0..n_i}.  Every
     monomial exponent matrix m satisfies m[i][j] >= 0 and
-    sum_j m[i][j] == degrees[i].
+    sum_j m[i][j] == degrees[i].  Every coefficient is stored as a nonzero
+    AlgebraicNumber.
     """
 
     __slots__ = ("shape", "degrees", "monomials")
@@ -72,7 +64,7 @@ class MultihomogeneousPolynomial:
             coeff = _norm_coeff(coeff)
             if exp in norm:
                 raise FormError("duplicate monomial %r" % (exp,))
-            if isinstance(coeff, int) and coeff == 0:
+            if coeff.is_zero():
                 continue
             norm[exp] = coeff
         object.__setattr__(self, "shape", shape)
@@ -158,15 +150,16 @@ def validate(F: MultihomogeneousPolynomial, E: ExceptionalSet) -> ValidationRepo
         elif F.shape[i] != 1:
             issues.append("exceptional block %d has n_i = %d != 1" % (i, F.shape[i]))
     for exp, coeff in sorted(F.monomials.items()):
-        if isinstance(coeff, AlgebraicNumber):
-            if not coeff.is_totally_real():
-                issues.append("coefficient of %r is not totally real" % (exp,))
-            if not coeff.is_algebraic_integer():
-                issues.append("coefficient of %r is not an algebraic integer" % (exp,))
-            if coeff.is_rational():
-                continue
-            if is_regular_monomial(F, E, exp):
-                issues.append("regular monomial %r has non-integer coefficient" % (exp,))
+        if coeff.is_integer():
+            continue
+        if not coeff.is_totally_real():
+            issues.append("coefficient of %r is not totally real" % (exp,))
+        if not coeff.is_algebraic_integer():
+            issues.append("coefficient of %r is not an algebraic integer" % (exp,))
+        if coeff.is_rational():
+            continue
+        if is_regular_monomial(F, E, exp):
+            issues.append("regular monomial %r has non-integer coefficient" % (exp,))
     return ValidationReport(issues)
 
 
@@ -214,25 +207,21 @@ def c_value(F: MultihomogeneousPolynomial, i: int, j: int,
     if not (0 <= i < F.r and 0 <= j <= F.shape[i]):
         raise FormError("index pair (%d, %d) out of range" % (i, j))
     exceptional = E is not None and E.is_exceptional_pair(i, j)
-    total = 0
+    total = Fraction(0)
     for exp, coeff in F.monomials.items():
         m = exp[i][j]
         if m <= 0:
             continue
-        if isinstance(coeff, AlgebraicNumber):
-            if not coeff.is_rational():
-                if exceptional or E is None:
-                    raise FormError(
-                        "c value at pair (%d, %d) depends on the place: monomial "
-                        "%r has an irrational coefficient" % (i, j, exp))
+        if not coeff.is_rational():
+            if exceptional or E is None:
                 raise FormError(
-                    "regular pair (%d, %d) touches a non-integer coefficient; "
-                    "polynomial violates property (ii)" % (i, j))
-            coeff = coeff.as_fraction()
-        total += m * abs(coeff)
-    if isinstance(total, Fraction) and total.denominator == 1:
-        total = int(total)
-    return total
+                    "c value at pair (%d, %d) depends on the place: monomial "
+                    "%r has an irrational coefficient" % (i, j, exp))
+            raise FormError(
+                "regular pair (%d, %d) touches a non-integer coefficient; "
+                "polynomial violates property (ii)" % (i, j))
+        total += m * abs(coeff.as_fraction())
+    return int(total) if total.denominator == 1 else total
 
 
 def c_max(F: MultihomogeneousPolynomial, E: ExceptionalSet) -> int:

@@ -88,7 +88,7 @@ def _measure_of_parts(f: IntPolynomial, parts, eps: Fraction) -> Interval:
             acc = Interval(1)
             for i in range(g.degree):
                 # a root whose isolating box lies in the unit disk contributes 1
-                if conjugate_box(g, i).rect().abs2().hi > 1:
+                if conjugate_box(g, i).abs2().hi > 1:
                     acc = acc * conjugate_box(g, i, w).abs_interval(k + 4).max_with(1)
             total = total * acc.pow_int(mult)
         if total.width <= eps:
@@ -138,27 +138,18 @@ def rational_block_log_height(coords, bits: int = DEFAULT_BITS) -> HeightValue:
 
 
 class MultiProjectivePoint:
-    """Point in a product of projective spaces; coordinates are Fractions or
-    AlgebraicNumbers, at least one nonzero per block."""
+    """Point in a product of projective spaces, at least one nonzero
+    coordinate per block; every coordinate is stored as an AlgebraicNumber."""
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
         norm = []
         for bi, block in enumerate(blocks):
-            row = []
-            nonzero = False
-            for c in block:
-                if isinstance(c, AlgebraicNumber):
-                    row.append(c)
-                    nonzero = nonzero or not c.is_zero()
-                else:
-                    q = Fraction(c)
-                    row.append(q)
-                    nonzero = nonzero or q != 0
-            if not nonzero:
+            row = tuple(as_algebraic(c) for c in block)
+            if all(c.is_zero() for c in row):
                 raise HeightError("block %d has no nonzero coordinate" % bi)
-            norm.append(tuple(row))
+            norm.append(row)
         object.__setattr__(self, "blocks", tuple(norm))
 
     def __setattr__(self, *a):
@@ -175,30 +166,20 @@ class MultiProjectivePoint:
         return "MultiProjectivePoint(shape=%r)" % (self.shape,)
 
 
-def _coord_is_zero(c) -> bool:
-    if isinstance(c, AlgebraicNumber):
-        return c.is_zero()
-    return c == 0
-
-
 def block_log_height(block, bits: int = DEFAULT_BITS) -> HeightValue:
-    """log H of one projective block (not yet weighted by n_i + 1)."""
-    if all(not isinstance(c, AlgebraicNumber) or c.is_rational() for c in block):
-        rat = [c.as_fraction() if isinstance(c, AlgebraicNumber) else Fraction(c)
-               for c in block]
-        return rational_block_log_height(rat, bits)
+    """log H of one projective block of AlgebraicNumbers (not yet weighted
+    by n_i + 1)."""
+    if all(c.is_rational() for c in block):
+        return rational_block_log_height([c.as_fraction() for c in block], bits)
     if len(block) != 2:
         raise UnsupportedBlockShape(
             "algebraic coordinates are supported only in blocks of shape "
             "(x0, x1); got a block of length %d" % len(block))
     x0, x1 = block
-    if _coord_is_zero(x0):
-        # (0, x1) ~ (0, 1): height 0
+    if x0.is_zero() or x1.is_zero():
+        # (0, x1) ~ (0, 1) and (x0, 0) ~ (1, 0): height 0
         return HeightValue(Interval(0), bits)
-    if _coord_is_zero(x1):
-        return HeightValue(Interval(0), bits)
-    alpha = as_algebraic(x1).div(as_algebraic(x0))
-    return weil_log_height(alpha, bits)
+    return weil_log_height(x1.div(x0), bits)
 
 
 def point_log_height(point: MultiProjectivePoint, bits: int = DEFAULT_BITS) -> HeightValue:

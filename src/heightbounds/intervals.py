@@ -354,13 +354,19 @@ class Rect:
         object.__setattr__(self, "im", _as_interval(im))
 
     def __setattr__(self, *a):
-        raise AttributeError("Rect is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def __reduce__(self):
         return (Rect, (self.re, self.im))
 
     def __repr__(self):
         return "Rect(%r, %r)" % (self.re, self.im)
+
+    def __eq__(self, other):
+        return isinstance(other, Rect) and self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     def __add__(self, other):
         other = _as_rect(other)
@@ -389,6 +395,9 @@ class Rect:
 
     def contains_zero(self) -> bool:
         return self.re.contains(0) and self.im.contains(0)
+
+    def contains_rect(self, other: "Rect") -> bool:
+        return self.re.contains_interval(other.re) and self.im.contains_interval(other.im)
 
     def strictly_contains(self, other: "Rect") -> bool:
         return self.re.strictly_contains(other.re) and self.im.strictly_contains(other.im)

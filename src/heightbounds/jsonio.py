@@ -32,6 +32,9 @@ def _frac(value, pointer) -> Fraction:
     try:
         if isinstance(value, bool):
             raise ValueError("boolean")
+        if isinstance(value, str) and ("e" in value or "E" in value):
+            # Fraction would expand the exponent into an integer of that size
+            raise ValueError("exponent notation")
         if isinstance(value, (int, str)):
             return Fraction(value)
     except (ValueError, ZeroDivisionError) as e:
@@ -108,19 +111,8 @@ def algnum_from_json(d, pointer="algnum") -> AlgebraicNumber:
 
 
 def point_to_json(p: MultiProjectivePoint) -> dict:
-    blocks = []
-    for block in p.blocks:
-        row = []
-        for c in block:
-            if isinstance(c, AlgebraicNumber):
-                if c.is_rational():
-                    row.append(frac_str(c.as_fraction()))
-                else:
-                    row.append(algnum_to_json(c))
-            else:
-                row.append(frac_str(c))
-        blocks.append(row)
-    return {"blocks": blocks}
+    return {"blocks": [[frac_str(c.as_fraction()) if c.is_rational() else algnum_to_json(c)
+                        for c in block] for block in p.blocks]}
 
 
 def point_from_json(d, pointer="point") -> MultiProjectivePoint:
@@ -150,10 +142,7 @@ def point_from_json(d, pointer="point") -> MultiProjectivePoint:
 def form_to_json(F: MultihomogeneousPolynomial, E: ExceptionalSet) -> dict:
     mons = []
     for exp, coeff in sorted(F.monomials.items()):
-        if isinstance(coeff, AlgebraicNumber):
-            cj = algnum_to_json(coeff)
-        else:
-            cj = coeff
+        cj = int(coeff.as_fraction()) if coeff.is_integer() else algnum_to_json(coeff)
         mons.append({"exp": [list(row) for row in exp], "coeff": cj})
     return {"shape": list(F.shape), "degrees": list(F.degrees),
             "I": sorted(E.blocks), "monomials": mons}

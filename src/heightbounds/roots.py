@@ -22,28 +22,23 @@ class IsolationError(ArithmeticError):
     pass
 
 
-class RootBox:
-    """A region certified to contain exactly one root of its polynomial.
+class RootBox(Rect):
+    """A rectangle certified to contain exactly one root of its polynomial.
 
     Real roots live in a rational interval on the real line; non-real roots
     in a rational-cornered rectangle that stays off the real axis.
     """
 
-    __slots__ = ("re", "im", "is_real")
+    __slots__ = ("is_real",)
 
     def __init__(self, re: Interval, im: Interval | None = None):
+        # slots are set directly, skipping Rect.__init__: boxes are built in hot loops
+        is_real = im is None or (im.lo == 0 and im.hi == 0)
+        if not is_real and im.contains(0):
+            raise IsolationError("non-real box may not meet the real axis")
         object.__setattr__(self, "re", re)
-        if im is None or (im.lo == 0 and im.hi == 0):
-            object.__setattr__(self, "im", Interval(0))
-            object.__setattr__(self, "is_real", True)
-        else:
-            if im.contains(0):
-                raise IsolationError("non-real box may not meet the real axis")
-            object.__setattr__(self, "im", im)
-            object.__setattr__(self, "is_real", False)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RootBox is immutable")
+        object.__setattr__(self, "im", Interval(0) if is_real else im)
+        object.__setattr__(self, "is_real", is_real)
 
     def __reduce__(self):
         return (RootBox, (self.re, None if self.is_real else self.im))
@@ -54,36 +49,16 @@ class RootBox:
         return "RootBox(re=[%s, %s], im=[%s, %s])" % (
             self.re.lo, self.re.hi, self.im.lo, self.im.hi)
 
-    def __eq__(self, other):
-        return (isinstance(other, RootBox) and self.re == other.re
-                and self.im == other.im)
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    @property
-    def width(self) -> Fraction:
-        return max(self.re.width, self.im.width)
-
-    def rect(self) -> Rect:
-        return Rect(self.re, self.im)
-
     def mirror(self) -> "RootBox":
         if self.is_real:
             return self
         return RootBox(self.re, -self.im)
 
-    def intersects(self, other: "RootBox") -> bool:
-        return self.re.intersects(other.re) and self.im.intersects(other.im)
-
-    def midpoint(self) -> tuple[Fraction, Fraction]:
-        return self.re.mid, self.im.mid
-
     def abs_interval(self, bits: int = 64) -> Interval:
         """Enclosure of |z| over the box."""
         if self.is_real:
             return self.re.abs()
-        a2 = self.rect().abs2()
+        a2 = self.abs2()
         return Interval(sqrt_fraction_down(max(a2.lo, Fraction(0)), bits),
                         sqrt_fraction_up(a2.hi, bits))
 
@@ -92,16 +67,12 @@ class RootBox:
 # real isolation (Sturm bisection)
 
 
-def _require_squarefree(f: IntPolynomial):
+def isolate_real_roots(f: IntPolynomial) -> list[RootBox]:
+    """Disjoint certified intervals, one per real root, sorted ascending."""
     if f.degree < 1:
         raise PolynomialError("need degree >= 1")
     if sturm_chain(f)[-1].degree > 0:  # the chain ends in gcd(f, f')
         raise PolynomialError("input must be squarefree")
-
-
-def isolate_real_roots(f: IntPolynomial) -> list[RootBox]:
-    """Disjoint certified intervals, one per real root, sorted ascending."""
-    _require_squarefree(f)
     total = count_real_roots(f)
     if total == 0:
         return []
@@ -256,12 +227,11 @@ def krawczyk_passes(f: IntPolynomial, box: RootBox) -> bool:
         return False
     cr, ci = dr / norm, -di / norm
     c = Rect(Interval(cr), Interval(ci))
-    x = box.rect()
     mid = Rect(Interval(mr), Interval(mi))
-    fp_x = _derivative_enclosure(f, x, mid, mr, mi)
+    fp_x = _derivative_enclosure(f, box, mid, mr, mi)
     one_minus = Rect(Interval(1), Interval(0)) - c * fp_x
-    k = mid - c * Rect(Interval(fr), Interval(fi)) + one_minus * (x - mid)
-    return x.strictly_contains(k)
+    k = mid - c * Rect(Interval(fr), Interval(fi)) + one_minus * (box - mid)
+    return box.strictly_contains(k)
 
 
 def _exclusion(f: IntPolynomial, rect: Rect) -> bool:
@@ -284,9 +254,8 @@ def refine_complex_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox
         guard += 1
         if guard > 100000:
             raise IsolationError("complex refinement stalled")
-        x = cur.rect()
-        mr, mi = cur.midpoint()
-        d_iv = _derivative_enclosure(f, x, Rect(Interval(mr), Interval(mi)), mr, mi)
+        mr, mi = cur.mid()
+        d_iv = _derivative_enclosure(f, cur, Rect(Interval(mr), Interval(mi)), mr, mi)
         stepped = False
         if not d_iv.contains_zero():
             fr, fi = _cpoly_eval(f.coeffs, mr, mi)
@@ -317,7 +286,7 @@ def _quadrisect(f: IntPolynomial, box: RootBox, bits: int) -> RootBox:
                     sub = RootBox(r_part, i_part)
                 except IsolationError:
                     continue
-                if _exclusion(f, Rect(r_part, i_part)):
+                if _exclusion(f, sub):
                     continue
                 if krawczyk_passes(f, sub):
                     return sub
@@ -367,7 +336,6 @@ def isolate_roots(f: IntPolynomial) -> list[RootBox]:
     Real roots come first (ascending), then non-real roots sorted by
     (re midpoint, im midpoint); conjugate roots appear as mirrored boxes.
     """
-    _require_squarefree(f)
     real_boxes = isolate_real_roots(f)
     pairs = f.degree - len(real_boxes)
     if pairs % 2:
@@ -385,16 +353,13 @@ def isolate_roots(f: IntPolynomial) -> list[RootBox]:
         dps *= 2
         if dps > 4000:
             raise IsolationError("cannot certify complex roots of %s" % f)
+    # pairwise disjoint by construction: the real boxes are shrunk apart, the
+    # upper boxes are checked pairwise and have im.lo > 0, and mirrors lie below
     boxes = list(real_boxes)
     upper.sort(key=lambda b: (b.re.mid, b.im.mid))
     for ub in upper:
         boxes.append(ub)
         boxes.append(ub.mirror())
-    # final disjointness audit across everything
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if boxes[i].intersects(boxes[j]):
-                raise IsolationError("isolating boxes overlap")
     return boxes
 
 

@@ -16,7 +16,7 @@ import os
 from contextlib import nullcontext
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber, _isolated
+from .algebraic import AlgebraicNumber, _isolated, _number
 from .factor import factor_over_rationals
 from .heights import weil_log_height
 from .intervals import Interval, decimal_lower, decimal_upper
@@ -190,7 +190,8 @@ def _examine_candidate(space: SearchSpace, f: IntPolynomial, bits: int,
         flags = list(space.predicates)
         if g.degree != f.degree or g != f:
             flags.append("from-decomposition")
-        logh = weil_log_height(AlgebraicNumber(g, _isolated(g)[0]), bits).log_height
+        # g is an irreducible factor already, so conjugate 0 is named directly
+        logh = weil_log_height(_number(g, g, 0), bits).log_height
         seen[g.coeffs] = SearchRecord(g, g.degree, logh, flags)
 
 

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 import mpmath
 
-from .algebraic import AlgebraicNumber
 from .forms import (ExceptionalSet, MultihomogeneousPolynomial,
                     WeightScheme, reciprocal_transform)
 
@@ -45,12 +43,6 @@ class SpotcheckReport:
         return ("SpotcheckReport(best_phi=%.6f, reference=%.6f, consistent=%s, "
                 "structure_ok=%s)" % (self.best_phi, self.reference,
                                       self.consistent, self.structure_ok))
-
-
-def _complex_coeff(c) -> complex:
-    if isinstance(c, AlgebraicNumber):
-        return complex(c)
-    return complex(Fraction(c))
 
 
 def _monomial_value(exp, coords) -> complex:
@@ -113,9 +105,9 @@ def polydisk_spotcheck(F: MultihomogeneousPolynomial, E: ExceptionalSet,
         raise SpotcheckError("spot check supports products of P^1 blocks only")
     rng = random.Random(seed)
     r = F.r
-    coeffs = [_complex_coeff(c) for c in F.monomials.values()]
+    coeffs = [complex(c) for c in F.monomials.values()]
     F_t = reciprocal_transform(F)
-    coeffs_t = [_complex_coeff(c) for c in F_t.monomials.values()]
+    coeffs_t = [complex(c) for c in F_t.monomials.values()]
     b = scheme.b
 
     best_phi = -math.inf

@@ -104,12 +104,11 @@ def _exact_terms(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
                  cap: int):
     """Exact value of each monomial of F at the point, in monomial order."""
     _require_shape(F, point)
-    for exp, coeff in sorted(F.monomials.items()):
-        term = as_algebraic(coeff)
+    for exp, term in sorted(F.monomials.items()):
         for i, row in enumerate(exp):
             for j, m in enumerate(row):
                 if m:
-                    c = as_algebraic(point.blocks[i][j])
+                    c = point.blocks[i][j]
                     if c.is_zero():
                         term = AlgebraicNumber.zero()
                         break
@@ -136,18 +135,11 @@ def evaluate_interval(F: MultihomogeneousPolynomial, point: MultiProjectivePoint
     eps = Fraction(1, 1 << bits)
     total = Rect(Interval(0), Interval(0))
     for exp, coeff in sorted(F.monomials.items()):
-        if isinstance(coeff, AlgebraicNumber):
-            term = coeff.box(eps).rect()
-        else:
-            term = Rect(Interval(coeff), Interval(0))
+        term = coeff.box(eps)
         for i, row in enumerate(exp):
             for j, m in enumerate(row):
                 if m:
-                    c = point.blocks[i][j]
-                    if isinstance(c, AlgebraicNumber):
-                        base = c.box(eps).rect()
-                    else:
-                        base = Rect(Interval(c), Interval(0))
+                    base = point.blocks[i][j].box(eps)
                     for _ in range(m):
                         term = term * base
         total = total + term
@@ -207,16 +199,7 @@ def _vanishes(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
 
 
 def point_inverse(point: MultiProjectivePoint) -> MultiProjectivePoint:
-    blocks = []
-    for block in point.blocks:
-        row = []
-        for c in block:
-            if isinstance(c, AlgebraicNumber):
-                row.append(c.inv())
-            else:
-                row.append(1 / Fraction(c))
-        blocks.append(row)
-    return MultiProjectivePoint(blocks)
+    return MultiProjectivePoint([[c.inv() for c in block] for block in point.blocks])
 
 
 def check_hypotheses(F: MultihomogeneousPolynomial, E: ExceptionalSet,
@@ -235,8 +218,7 @@ def check_hypotheses(F: MultihomogeneousPolynomial, E: ExceptionalSet,
     zero_at = None
     for i, block in enumerate(point.blocks):
         for j, c in enumerate(block):
-            is_z = c.is_zero() if isinstance(c, AlgebraicNumber) else c == 0
-            if is_z:
+            if c.is_zero():
                 zero_at = (i, j)
                 break
         if zero_at:
@@ -300,8 +282,7 @@ def build_sum_form(n_value: AlgebraicNumber, r: int) -> tuple[MultihomogeneousPo
         exp = tuple((0, 1) if k == i else (1, 0) for k in range(r))
         mons[exp] = 1
     all_zero = tuple((1, 0) for _ in range(r))
-    coeff = n_value.neg()
-    mons[all_zero] = int(coeff.as_fraction()) if coeff.is_integer() else coeff
+    mons[all_zero] = n_value.neg()
     F = MultihomogeneousPolynomial(shape, degrees, mons)
     return F, ExceptionalSet(range(r))
 

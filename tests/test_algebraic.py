@@ -64,6 +64,18 @@ class TestConstruction:
                 make(f, RootBox(Interval(-1, 0)))
         assert AlgebraicNumber.from_root(f, RootBox(Interval(0, 1))).sign() == 1
 
+    def test_constructor_factors_the_polynomial(self, golden):
+        from heightbounds.intervals import Interval
+        from heightbounds.roots import RootBox
+        from heightbounds.verify import CorollaryInstance, verify_corollary
+        box = RootBox(Interval(Fraction(3, 2), 2))
+        a = AlgebraicNumber(P("x^2-x-1") * P("x-5"), box)
+        assert a.minpoly == P("x^2-x-1")
+        assert a == golden
+        assert a == AlgebraicNumber.from_root(P("x^2-x-1") * P("x-5"), box)
+        assert verify_corollary(CorollaryInstance([a], a)).status == "equality-candidate"
+        assert AlgebraicNumber(P("2*x^2-4"), RootBox(Interval(1, 2))).minpoly == P("x^2-2")
+
     def test_degree_one_rationals(self):
         a = as_algebraic(Fraction(7, 3))
         assert a.is_rational() and a.as_fraction() == Fraction(7, 3)

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 import sympy
 
-from heightbounds.factor import (factor_over_rationals, is_irreducible,
+from heightbounds.factor import (_odd_primes, factor_over_rationals, is_irreducible,
                                  squarefree_decomposition)
 from heightbounds.polys import IntPolynomial, PolynomialError, parse_polynomial
 
@@ -96,6 +96,14 @@ class TestSquarefreeDecomposition:
 # least eight factors modulo every prime
 FOUR_ROOTS = [46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0,
               -141912, 0, 6476, 0, -136, 0, 1]
+
+
+class TestPrimeStream:
+    def test_odd_primes_in_order_below_the_bound(self):
+        ref = [n for n in range(3, 100000, 2) if sympy.isprime(n)]
+        assert list(_odd_primes()) == ref
+        assert list(_odd_primes(64)) == [p for p in ref if p < 64]
+        assert list(_odd_primes(3)) == []
 
 
 class TestManyModularFactors:

@@ -142,7 +142,7 @@ class TestReciprocalTransform:
         F, _ = build_sum_form(golden, 1)
         Ft = reciprocal_transform(F)
         # F = x01 - N x00 -> Ft = x00 - N x01
-        assert Ft.monomials[((1, 0),)] == 1
+        assert Ft.monomials[((1, 0),)].as_fraction() == 1
         coeff = Ft.monomials[((0, 1),)]
         assert coeff.neg().equals(golden)
 

@@ -198,6 +198,12 @@ class TestPointHeights:
         with pytest.raises(UnsupportedBlockShape):
             point_log_height(p, 64)
 
+    def test_coordinates_stored_as_algebraic_numbers(self):
+        p = MultiProjectivePoint([[1, Fraction(-3, 4)], [0, 2, Fraction(5, 2)]])
+        assert all(isinstance(c, AlgebraicNumber) for block in p.blocks for c in block)
+        assert ([[c.as_fraction() for c in block] for block in p.blocks]
+                == [[1, Fraction(-3, 4)], [0, 2, Fraction(5, 2)]])
+
     def test_empty_block_rejected(self, golden):
         with pytest.raises(HeightError):
             MultiProjectivePoint([[0, 0]])

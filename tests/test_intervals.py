@@ -133,6 +133,15 @@ class TestRect:
         with pytest.raises(IntervalError):
             rect_inverse(Rect(Interval(-1, 1), Interval(-1, 1)))
 
+    def test_equality_and_containment(self):
+        from heightbounds.roots import RootBox
+        outer = Rect(Interval(0, 2), Interval(1, 3))
+        box = RootBox(Interval(1, 2), Interval(1, 2))
+        assert outer.contains_rect(box) and not box.contains_rect(outer)
+        assert box == Rect(Interval(1, 2), Interval(1, 2))
+        assert len({box, Rect(Interval(1, 2), Interval(1, 2)), outer}) == 2
+        assert RootBox(Interval(1, 2)) == Rect(Interval(1, 2), Interval(0))
+
     def test_poly_eval(self):
         # f(z) = z^2 + 1 at the point i: exactly 0
         z = Rect(Interval(0), Interval(1))

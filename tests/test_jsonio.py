@@ -37,6 +37,20 @@ class TestAlgnum:
             jsonio.algnum_from_json({"minpoly": [1, 0, -1, -1],
                                      "root": {"re": ["-1", "0"], "im": ["0", "0"]}})
 
+    def test_exponent_strings_rejected(self):
+        # Fraction("1e10000000") builds a 33-million-bit integer first
+        run_with_deadline(
+            "from heightbounds import jsonio\n"
+            "for doc in ('1e10000000', {'minpoly': [-2, 0, 1], "
+            "'root': {'re': ['1', '2E9999999'], 'im': ['0', '0']}}):\n"
+            "    try:\n"
+            "        jsonio.algnum_from_json(doc)\n"
+            "    except jsonio.SchemaError as e:\n"
+            "        assert e.pointer.startswith('algnum'), e.pointer\n"
+            "    else:\n"
+            "        raise AssertionError('an exponent string was accepted')\n", seconds=2)
+        assert jsonio.algnum_from_json("-1.25").as_fraction() == Fraction(-5, 4)
+
     def test_box_with_two_roots_rejected(self):
         # the box holds both roots of x^4+1 in the upper half-plane
         run_with_deadline(
@@ -56,7 +70,7 @@ class TestPoint:
         doc = jsonio.point_to_json(p)
         back = jsonio.point_from_json(doc)
         assert back.shape == p.shape
-        assert back.blocks[1][0] == Fraction(1, 2)
+        assert back.blocks[1][0].as_fraction() == Fraction(1, 2)
         assert back.blocks[0][1].equals(golden)
 
     def test_bad_block(self):

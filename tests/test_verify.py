@@ -84,7 +84,7 @@ class TestHypotheses:
     def test_point_inverse(self, golden):
         point = MultiProjectivePoint([(Fraction(1, 2), golden)])
         inv = point_inverse(point)
-        assert inv.blocks[0][0] == 2
+        assert inv.blocks[0][0].as_fraction() == 2
         assert inv.blocks[0][1].equals(golden.inv())
 
 
