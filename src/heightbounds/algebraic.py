@@ -3,18 +3,19 @@ conjugate it names.
 
 Root boxes belong to the polynomial: one bounded store per polynomial holds
 its canonical isolation and, per conjugate, boxes at fixed anchor widths,
-and only the store refines a box.  Field arithmetic goes through
-resultants built by evaluation/interpolation (integer Sylvester
-determinants), factored; one routine, `_select`, picks the factor and
-conjugate against enclosures of the value along one fixed schedule of
-widths, `_WIDTHS`.  Rational operands take direct shift/scale paths, which
-isolate nothing.
+and only the store refines a box.  Sums, products and powers go through
+the composed sum, product or power of the minimal polynomials, built from
+power sums by Newton's identities in integers, and factored; one routine,
+`_select`, picks the factor and conjugate against enclosures of the value
+along one fixed schedule of widths, `_WIDTHS`.  Rational operands take
+direct shift/scale paths, which isolate nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import comb
 
 from .factor import factor_over_rationals
 from .intervals import Interval, Rect, poly_eval_rect, rect_inverse
@@ -321,20 +322,21 @@ class AlgebraicNumber:
 
     __truediv__ = div
 
-    def pow(self, n: int, cap: int = DEFAULT_DEGREE_CAP) -> "AlgebraicNumber":
+    def pow(self, n: int) -> "AlgebraicNumber":
+        """self^n, whose degree is at most self's: the polynomial with roots
+        (lead * conjugate)^n comes from every n-th power sum."""
+        if n < 0:
+            return self.inv().pow(-n)
         if n == 0:
             return AlgebraicNumber.one()
-        if n < 0:
-            return self.inv().pow(-n, cap)
-        result = AlgebraicNumber.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result.mul(base, cap)
-            n >>= 1
-            if n:
-                base = base.mul(base, cap)
-        return result
+        if n == 1:
+            return self
+        if self.is_rational():
+            return AlgebraicNumber.from_rational(self.as_fraction() ** n)
+        f = self.minpoly
+        res = _from_power_sums(_power_sums(f, f.degree * n)[::n], f.lead ** n)
+        return _select([g for g, _ in factor_over_rationals(res)],
+                       lambda eps: reduce(Rect.__mul__, [self.box(eps)] * n))
 
     def _add_rational(self, q: Fraction) -> "AlgebraicNumber":
         if self.is_rational():
@@ -350,111 +352,48 @@ class AlgebraicNumber:
 
 
 # ---------------------------------------------------------------------------
-# resultants by evaluation / interpolation
+# composed sums, products and powers from power sums
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+def _power_sums(f: IntPolynomial, n: int) -> list[int]:
+    """Power sums p_0..p_n of lead(f) * (roots of f), by Newton's identities
+    on the monic integer polynomial with those roots."""
+    m, a = f.degree, f.lead
+    e = [1] + [f.coeffs[m - k] * a ** (k - 1) for k in range(1, m + 1)]
+    p = [m]
+    for k in range(1, n + 1):
+        s = sum(e[j] * p[k - j] for j in range(1, min(k, m + 1)))
+        p.append(-s - k * e[k] if k <= m else -s)
+    return p
 
 
-def _sylvester_det(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    m, n = len(a) - 1, len(b) - 1
-    size = m + n
-    mat = [[0] * size for _ in range(size)]
-    ad, bd = list(reversed(a)), list(reversed(b))
-    for i in range(n):
-        mat[i][i:i + m + 1] = ad
-    for i in range(m):
-        mat[n + i][i:i + n + 1] = bd
-    return _bareiss_det(mat)
-
-
-def _interpolate_int_poly(points: list[tuple[int, int]]) -> IntPolynomial:
-    """Newton interpolation through integer points; result must be integral."""
-    xs = [Fraction(x) for x, _ in points]
-    coeffs = [Fraction(y) for _, y in points]
-    n = len(points)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    # expand Newton form
-    poly = [Fraction(0)] * n
-    acc = [Fraction(1)]
-    for j in range(n):
-        for i, c in enumerate(acc):
-            poly[i] += coeffs[j] * c
-        # acc *= (x - xs[j])
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for i, c in enumerate(acc):
-            nxt[i] -= c * xs[j]
-            nxt[i + 1] += c
-        acc = nxt
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise ArithmeticError("resultant interpolation produced non-integer")
-        out.append(c.numerator)
-    return IntPolynomial(out)
+def _from_power_sums(p: list[int], scale: int) -> IntPolynomial:
+    """The polynomial whose p[0] roots, times scale, have the power sums p;
+    by Newton's identities, which must divide exactly."""
+    e = [1]
+    for k in range(1, len(p)):
+        q, r = divmod(-sum(e[j] * p[k - j] for j in range(k)), k)
+        if r:
+            raise ArithmeticError("power sums of roots that are not algebraic integers")
+        e.append(q)
+    return IntPolynomial(e[::-1]).scale_roots(Fraction(1, scale))
 
 
 def _resultant_sum(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Res_y(f(y), g(x - y)): vanishes at every alpha + beta."""
-    d = f.degree * g.degree
-    pts = []
-    for x0 in _eval_points(d + 1):
-        shifted = _compose_linear(g, x0)
-        pts.append((x0, _sylvester_det(f.coeffs, shifted.coeffs)))
-    return _interpolate_int_poly(pts)
+    """The composed sum: vanishes at every alpha + beta.  With a, b the
+    leading coefficients, its roots times ab are b * (a alpha) + a * (b beta)."""
+    d, a, b = f.degree * g.degree, f.lead, g.lead
+    pa = [b ** j * s for j, s in enumerate(_power_sums(f, d))]
+    pb = [a ** j * s for j, s in enumerate(_power_sums(g, d))]
+    return _from_power_sums([sum(comb(k, j) * pa[j] * pb[k - j] for j in range(k + 1))
+                             for k in range(d + 1)], a * b)
 
 
 def _resultant_product(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Res_y(f(y), y^n g(x/y)): vanishes at every alpha * beta (beta != 0)."""
+    """The composed product: vanishes at every alpha * beta."""
     d = f.degree * g.degree
-    n = g.degree
-    if g.coeffs[0] == 0:
-        raise ArithmeticError("product resultant needs g(0) != 0")
-    pts = []
-    for x0 in _eval_points(d + 1):
-        hom = IntPolynomial([g.coeffs[n - k] * x0 ** (n - k) for k in range(n + 1)])
-        pts.append((x0, _sylvester_det(f.coeffs, hom.coeffs)))
-    return _interpolate_int_poly(pts)
-
-
-def _eval_points(count: int) -> list[int]:
-    """0, 1, -1, 2, -2, ...: the first `count` integers by magnitude."""
-    return [0] + [s * k for k in range(1, count) for s in (1, -1)][:count - 1]
-
-
-def _compose_linear(g: IntPolynomial, c: int) -> IntPolynomial:
-    """g(c - y) as a polynomial in y."""
-    shift = IntPolynomial([c, -1])
-    acc = IntPolynomial(())
-    for coeff in reversed(g.coeffs):
-        acc = acc * shift + IntPolynomial([coeff])
-    return acc
+    return _from_power_sums([s * t for s, t in zip(_power_sums(f, d), _power_sums(g, d))],
+                            f.lead * g.lead)
 
 
 def _check_cap(composite_degree: int, cap: int):

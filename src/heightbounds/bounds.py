@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 
 from .algebraic import AlgebraicNumber
-from .forms import (ExceptionalSet, MultihomogeneousPolynomial, c_max,
+from .forms import (ExceptionalSet, MultihomogeneousPolynomial, c_max, c_value,
                     degree_data, delta, require_valid)
 from .intervals import Interval, exp_interval, ln_fraction, log_interval, xlogx_interval
 from .polys import IntPolynomial
@@ -96,8 +96,8 @@ class MinimizationResult:
         return "MinimizationResult(argmin=%.12g, value=%r)" % (float(self.argmin), self.value)
 
 
-def minimize_on_interval(f_iv, lo: Fraction, hi: Fraction, value_bits: int,
-                         max_iter: int = 200000) -> MinimizationResult:
+def minimize_on_interval(f_iv, lo: Fraction, hi: Fraction,
+                         value_bits: int) -> MinimizationResult:
     """Branch-and-bound minimum of an interval-extension objective.
 
     f_iv(Interval) must return a certified enclosure of the range; the
@@ -122,7 +122,7 @@ def minimize_on_interval(f_iv, lo: Fraction, hi: Fraction, value_bits: int,
     iters = 0
     while True:
         iters += 1
-        if iters > max_iter:
+        if iters > 200000:
             raise ThresholdError("minimization did not converge")
         low_bound = heap[0][0]
         if upper - low_bound <= tol:
@@ -360,7 +360,6 @@ def bound_constants(F: MultihomogeneousPolynomial, E: ExceptionalSet,
     require_valid(F, E)
     d_ij, d_tilde = degree_data(F)
     dlt = delta(F, E)
-    from .forms import c_value  # local import keeps module load order simple
     c = {}
     for i, j in F.index_pairs():
         if not E.is_exceptional_pair(i, j):

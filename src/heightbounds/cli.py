@@ -56,7 +56,7 @@ def _load_json(path: str):
         raise CliError("%s is not valid JSON: %s" % (path, e))
 
 
-def parse_algnum(text: str, eps=Fraction(1, 1 << 40)) -> AlgebraicNumber:
+def parse_algnum(text: str) -> AlgebraicNumber:
     """Literal forms: 'p/q', '<poly>@<selector>', or a .json file path.
 
     Selectors: '#k' picks the k-th root in canonical order; a decimal or
@@ -80,7 +80,7 @@ def parse_algnum(text: str, eps=Fraction(1, 1 << 40)) -> AlgebraicNumber:
     poly_text, sel = text.rsplit("@", 1)
     poly = parse_polynomial(poly_text)
     sf = squarefree_part(poly).canonical()
-    boxes = [conjugate_box(sf, i, eps) for i in range(len(_isolated(sf)))]
+    boxes = [conjugate_box(sf, i, Fraction(1, 1 << 40)) for i in range(len(_isolated(sf)))]
     sel = sel.strip()
     if sel.startswith("#"):
         try:

@@ -199,21 +199,19 @@ def delta(F: MultihomogeneousPolynomial, E: ExceptionalSet) -> Fraction:
     return best
 
 
-def c_value(F: MultihomogeneousPolynomial, i: int, j: int,
-            E: ExceptionalSet | None = None):
+def c_value(F: MultihomogeneousPolynomial, i: int, j: int, E: ExceptionalSet):
     """Coefficient mass of dF/dx_ij: sum of m_ij * |s_m| over monomials with
     m_ij > 0.  At an exceptional pair this is place-independent only when the
     contributing coefficients are rational; otherwise it is refused."""
     if not (0 <= i < F.r and 0 <= j <= F.shape[i]):
         raise FormError("index pair (%d, %d) out of range" % (i, j))
-    exceptional = E is not None and E.is_exceptional_pair(i, j)
     total = Fraction(0)
     for exp, coeff in F.monomials.items():
         m = exp[i][j]
         if m <= 0:
             continue
         if not coeff.is_rational():
-            if exceptional or E is None:
+            if E.is_exceptional_pair(i, j):
                 raise FormError(
                     "c value at pair (%d, %d) depends on the place: monomial "
                     "%r has an irrational coefficient" % (i, j, exp))

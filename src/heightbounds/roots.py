@@ -54,7 +54,7 @@ class RootBox(Rect):
             return self
         return RootBox(self.re, -self.im)
 
-    def abs_interval(self, bits: int = 64) -> Interval:
+    def abs_interval(self, bits: int) -> Interval:
         """Enclosure of |z| over the box."""
         if self.is_real:
             return self.re.abs()

@@ -34,7 +34,7 @@ class SpotcheckReport:
         self.structure_ok = structure_ok  # all but at most one pair within 1e-6 of 1
         self.feasible = feasible
         self.reference = reference        # comparison value (e.g. -log rho), float
-        self.consistent = consistent      # best_phi <= reference + tolerance
+        self.consistent = consistent      # best_phi <= reference + 1e-4
         self.trials = trials
 
     def __repr__(self):
@@ -91,8 +91,7 @@ def _phi(scheme, F_t, coeffs_t, coords, b) -> float:
 
 def polydisk_spotcheck(F: MultihomogeneousPolynomial, E: ExceptionalSet,
                        scheme: WeightScheme, trials: int = 50,
-                       reference: float | None = None, seed: int = 0,
-                       tolerance: float = 1e-4) -> SpotcheckReport:
+                       reference: float | None = None, seed: int = 0) -> SpotcheckReport:
     """Search the polydisk slice of the zero set for the largest Phi.
 
     One block at a time is solved exactly (its binary form's roots), the
@@ -191,6 +190,6 @@ def polydisk_spotcheck(F: MultihomogeneousPolynomial, E: ExceptionalSet,
     off_unit = sum(1 for m in moduli if abs(m - 1.0) > 1e-6)
     structure_ok = off_unit <= 1
     ref = reference if reference is not None else math.nan
-    consistent = (best_phi <= ref + tolerance) if reference is not None else True
+    consistent = (best_phi <= ref + 1e-4) if reference is not None else True
     return SpotcheckReport(best_phi, tuple(moduli), structure_ok, True,
                            ref, consistent, trials)

@@ -112,7 +112,7 @@ def _exact_terms(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
                     if c.is_zero():
                         term = AlgebraicNumber.zero()
                         break
-                    term = term.mul(c.pow(m, cap), cap)
+                    term = term.mul(c.pow(m), cap)
             if term.is_zero():
                 break
         yield term
@@ -146,22 +146,20 @@ def evaluate_interval(F: MultihomogeneousPolynomial, point: MultiProjectivePoint
     return total
 
 
-def evaluate(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
-             cap: int = 64, max_bits: int = PRECISION_CAP):
+def evaluate(F: MultihomogeneousPolynomial, point: MultiProjectivePoint, cap: int = 64):
     """Exact algebraic value when the degree cap allows; otherwise a certified
     rectangle.  A zero claim is never made from intervals alone."""
     try:
         return evaluate_exact(F, point, cap)
     except DegreeCapExceeded:
-        return _evaluate_past_cap(F, point, cap, max_bits)
+        return _evaluate_past_cap(F, point, cap)
 
 
-def _evaluate_past_cap(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
-                       cap: int, max_bits: int):
+def _evaluate_past_cap(F: MultihomogeneousPolynomial, point: MultiProjectivePoint, cap: int):
     """A rectangle that excludes 0 from the interval ladder, else the exact
     value under a doubled degree cap, else UndecidedError."""
     bits = 64
-    while bits <= max_bits:
+    while bits <= PRECISION_CAP:
         rect = evaluate_interval(F, point, bits)
         if not rect.contains_zero():
             return rect
@@ -171,7 +169,7 @@ def _evaluate_past_cap(F: MultihomogeneousPolynomial, point: MultiProjectivePoin
     except DegreeCapExceeded:
         raise UndecidedError(
             "value sign undecidable: degree cap exceeded and the interval "
-            "keeps containing zero at %d bits" % max_bits) from None
+            "keeps containing zero at %d bits" % PRECISION_CAP) from None
 
 
 def _vanishes(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
@@ -193,7 +191,7 @@ def _vanishes(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
         for term in terms[:-1]:
             head = head.add(term, cap)
     except DegreeCapExceeded:
-        value = _evaluate_past_cap(F, point, cap, PRECISION_CAP)
+        value = _evaluate_past_cap(F, point, cap)
         return isinstance(value, AlgebraicNumber) and value.is_zero()
     return head.equals(terms[-1].neg())
 

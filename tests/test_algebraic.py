@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from heightbounds.algebraic import (AlgebraicNumber, DegreeCapExceeded, _isolated,
-                                    as_algebraic)
+from heightbounds.algebraic import (AlgebraicNumber, DegreeCapExceeded, _from_power_sums,
+                                    _isolated, _power_sums, _resultant_product,
+                                    _resultant_sum, as_algebraic)
 from heightbounds.factor import factor_over_rationals
 from heightbounds.polys import IntPolynomial, parse_polynomial
 
@@ -228,6 +229,43 @@ class TestAgainstSympyMinpoly:
             got = sum(c * x ** i for i, c in enumerate(s.minpoly.coeffs))
             q = sympy.simplify(expected / got)
             assert q.is_number and q != 0
+
+
+class TestComposedAgainstSympyResultant:
+    """The composed sum, product and n-th power equal sympy's resultants up to
+    a rational constant, so their canonical forms agree."""
+
+    @staticmethod
+    def _canonical(expr, x):
+        return IntPolynomial(int(c) for c in reversed(sympy.Poly(expr, x).all_coeffs())).canonical()
+
+    def test_random_non_monic_pairs(self):
+        x, y = sympy.symbols("x y")
+        rng = random.Random(4711)
+        for _ in range(60):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            f, g = ([rng.randint(-6, 6) for _ in range(k)] + [rng.choice((-3, -2, 2, 3, 5))]
+                    for k in (m, n))
+            fy = sum(c * y ** i for i, c in enumerate(f))
+            F, G = IntPolynomial(f), IntPolynomial(g)
+            summed = sympy.resultant(fy, sum(c * (x - y) ** i for i, c in enumerate(g)), y)
+            assert _resultant_sum(F, G).canonical() == self._canonical(summed, x)
+            product = sympy.resultant(fy, sum(c * x ** i * y ** (n - i) for i, c in enumerate(g)), y)
+            assert _resultant_product(F, G).canonical() == self._canonical(product, x)
+            k = rng.randint(2, 4)
+            powered = _from_power_sums(_power_sums(F, m * k)[::k], F.lead ** k)
+            assert powered.canonical() == self._canonical(sympy.resultant(fy, x - y ** k, y), x)
+
+    def test_degree_cap_inputs_finish(self):
+        run_with_deadline(
+            "import random\n"
+            "from heightbounds.algebraic import _resultant_product, _resultant_sum\n"
+            "from heightbounds.polys import IntPolynomial\n"
+            "rng = random.Random(64)\n"
+            "f, g = (IntPolynomial([rng.randint(-10**6, 10**6) for _ in range(8)] + [999983])\n"
+            "        for _ in range(2))\n"
+            "assert _resultant_sum(f, g).degree == _resultant_product(f, g).degree == 64\n",
+            seconds=5)
 
 
 class TestFieldLawsRandom:

@@ -226,7 +226,7 @@ class TestExactDeterminism:
 
 class TestThresholdRoot:
     def test_matches_alg_rho(self):
-        for dlt, cf in ((1, 1), (2, 1), (1, 2)):
+        for dlt, cf in ((1, 1), (2, 1), (1, 2), (Fraction(1, 5), 1), (Fraction(3, 7), 1)):
             iv = threshold_root(Fraction(dlt), Fraction(2), Fraction(cf), bits=80)
             value, _ = rho(cf, dlt, bits=80)
             box = value.box(Fraction(1, 1 << 80))
