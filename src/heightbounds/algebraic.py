@@ -3,7 +3,10 @@ conjugate it names.
 
 Root boxes belong to the polynomial: one bounded store per polynomial holds
 its canonical isolation and, per conjugate, boxes at fixed anchor widths,
-and only the store refines a box.  Sums, products and powers go through
+and only the store refines a box.  The store is real-first: real roots
+lead the canonical order and are isolated on their own, and the non-real
+ones are certified only when a non-real conjugate or an enclosure off the
+real axis needs them.  Sums, products and powers go through
 the composed sum, product or power of the minimal polynomials, built from
 power sums by Newton's identities in integers, and factored; one routine,
 `_select`, picks the factor and conjugate against enclosures of the value
@@ -20,7 +23,7 @@ from math import comb
 from .factor import factor_over_rationals
 from .intervals import Interval, Rect, poly_eval_rect, rect_inverse
 from .polys import IntPolynomial, PolynomialError, count_real_roots
-from .roots import RootBox, isolate_roots, refine_box
+from .roots import RootBox, isolate_real_roots, isolate_roots, refine_box
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -51,11 +54,19 @@ _WIDTHS = (None,) + tuple(Fraction(1, 1 << bits) for bits in (16, 32, 64, 128, 2
 
 
 @lru_cache(maxsize=4096)
-def _isolated(f: IntPolynomial) -> tuple[RootBox, ...]:
-    """The canonical isolation of squarefree f (see `roots.isolate_roots`)."""
+def _isolated_real(f: IntPolynomial) -> tuple[RootBox, ...]:
+    """The real roots of squarefree f, ascending: the head of its canonical
+    isolation, which needs no non-real root."""
     if f.degree == 1:
         return (RootBox(Interval(Fraction(-f.coeffs[0], f.coeffs[1]))),)
-    return tuple(isolate_roots(f))
+    return tuple(isolate_real_roots(f))
+
+
+@lru_cache(maxsize=4096)
+def _isolated(f: IntPolynomial) -> tuple[RootBox, ...]:
+    """The canonical isolation of squarefree f (see `roots.isolate_roots`),
+    extending the real boxes the store already holds."""
+    return tuple(isolate_roots(f, _isolated_real(f)))
 
 
 @lru_cache(maxsize=8192)
@@ -64,8 +75,10 @@ def conjugate_box(f: IntPolynomial, index: int, eps: Fraction | None = None) -> 
     around root `index` of f in canonical order.
 
     A pure function of its arguments, memoized: the refinement source
-    depends only on eps, so no box depends on earlier calls or eviction."""
-    box = _isolated(f)[index]
+    depends only on eps, so no box depends on earlier calls or eviction.
+    Real conjugates lead the order, so they never wait for the non-real."""
+    real = _isolated_real(f)
+    box = real[index] if index < len(real) else _isolated(f)[index]
     if eps is None or box.width <= eps:
         return box
     source = next((w for w in _ANCHORS if w > eps), None)
@@ -88,7 +101,10 @@ def _conjugates_in(f: IntPolynomial, rect: Rect, encloses: bool) -> list[int]:
     inside or, when rect is known to hold a root of f (`encloses`), once at
     most one conjugate is left."""
     inside: list[int] = []
-    maybe = list(range(len(_isolated(f))))
+    # a non-real box never meets the real axis, so an enclosure on the axis
+    # can hold only real conjugates
+    on_axis = rect.im.lo == rect.im.hi == 0
+    maybe = list(range(len(_isolated_real(f)) if on_axis else f.degree))
     for eps in _WIDTHS:
         boxes = {i: conjugate_box(f, i, eps) for i in maybe}
         maybe = [i for i in maybe if boxes[i].intersects(rect)]
@@ -173,7 +189,7 @@ class AlgebraicNumber:
         return self.is_rational() and self.as_fraction().denominator == 1
 
     def is_real(self) -> bool:
-        return self.box().is_real
+        return self._index < len(_isolated_real(self._base))
 
     def box(self, eps: Fraction | None = None) -> RootBox:
         """Certified enclosure; of width <= eps when given."""

@@ -432,11 +432,27 @@ def rect_inverse(z: Rect) -> Rect:
 
 
 def poly_eval_rect(coeffs, z: Rect) -> Rect:
-    """Horner evaluation of an integer-coefficient polynomial on a rectangle."""
-    acc = Rect(Interval(0), Interval(0))
-    for c in reversed(coeffs):
-        acc = acc * z + Rect(Interval(c), Interval(0))
-    return acc
+    """Rectangle Horner with `Rect.__mul__`'s interval products, run on the
+    integers q^k acc (q the common denominator of z's corners), as
+    `poly_eval_interval` does on the line: the same rational result, with
+    no gcd per step."""
+    re, im = z.re, z.im
+    q = lcm(re.lo.denominator, re.hi.denominator, im.lo.denominator, im.hi.denominator)
+    a, b = re.lo.numerator * (q // re.lo.denominator), re.hi.numerator * (q // re.hi.denominator)
+    c, d = im.lo.numerator * (q // im.lo.denominator), im.hi.numerator * (q // im.hi.denominator)
+    rlo = rhi = ilo = ihi = 0
+    qk = 1
+    for coef in reversed(coeffs):
+        p = (rlo * a, rlo * b, rhi * a, rhi * b)  # acc.re * z.re
+        s = (ilo * c, ilo * d, ihi * c, ihi * d)  # acc.im * z.im
+        t = (rlo * c, rlo * d, rhi * c, rhi * d)  # acc.re * z.im
+        u = (ilo * a, ilo * b, ihi * a, ihi * b)  # acc.im * z.re
+        cq = coef * qk
+        rlo, rhi = min(p) - max(s) + cq, max(p) - min(s) + cq
+        ilo, ihi = min(t) + min(u), max(t) + max(u)
+        qk *= q
+    return Rect(Interval(Fraction(rlo * q, qk), Fraction(rhi * q, qk)),
+                Interval(Fraction(ilo * q, qk), Fraction(ihi * q, qk)))
 
 
 def poly_eval_interval(coeffs, x: Interval) -> Interval:

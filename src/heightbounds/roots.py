@@ -1,16 +1,18 @@
 """Certified root isolation for squarefree integer polynomials.
 
 Real roots are isolated by Sturm-count bisection, so every real box is
-certified by an exact sign-variation count.  Non-real roots are seeded by a
-numerical solver (mpmath) and then certified with an exact rational Krawczyk
-inclusion test; no certificate ever depends on floating point.
+certified by an exact sign-variation count, and `isolate_real_roots` needs
+nothing else.  Non-real roots are seeded by a numerical solver (mpmath,
+imported only then) and certified with an exact rational Krawczyk
+inclusion test; no certificate ever depends on floating point.  The
+rectangle Horner under Krawczyk runs on integers over a common
+denominator, with the same rational results as Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import mpmath
+from math import lcm
 
 from .intervals import (Interval, IntervalError, Rect, poly_eval_interval,
                         poly_eval_rect, rect_inverse, sqrt_fraction_down,
@@ -187,10 +189,16 @@ def refine_real_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox:
 
 
 def _cpoly_eval(coeffs, zr: Fraction, zi: Fraction) -> tuple[Fraction, Fraction]:
-    ar, ai = Fraction(0), Fraction(0)
+    """Complex Horner at a rational point, run on the integers q^k acc (q
+    the common denominator of zr and zi), as `poly_eval_rect` does."""
+    q = lcm(zr.denominator, zi.denominator)
+    a, b = zr.numerator * (q // zr.denominator), zi.numerator * (q // zi.denominator)
+    ar = ai = 0
+    qk = 1
     for c in reversed(coeffs):
-        ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr
-    return ar, ai
+        ar, ai = ar * a - ai * b + c * qk, ar * b + ai * a
+        qk *= q
+    return Fraction(ar * q, qk), Fraction(ai * q, qk)
 
 
 def _rect_meet(a: Rect, b: Rect) -> Rect:
@@ -315,6 +323,8 @@ def _mpf_to_fraction(x) -> Fraction:
 def _numeric_seeds(f: IntPolynomial, dps: int):
     """(re, im, newton_correction) triples; the correction estimates the
     distance from the seed to the true root (heuristically, for sizing)."""
+    import mpmath  # loaded only when a polynomial has non-real roots
+
     coeffs = [mpmath.mpf(c) for c in reversed(f.coeffs)]
     deriv = [mpmath.mpf(c) for c in reversed(f.derivative().coeffs)]
     out = []
@@ -330,13 +340,14 @@ def _numeric_seeds(f: IntPolynomial, dps: int):
     return out
 
 
-def isolate_roots(f: IntPolynomial) -> list[RootBox]:
+def isolate_roots(f: IntPolynomial, real_boxes=None) -> list[RootBox]:
     """Certified disjoint boxes, one per distinct root of squarefree f.
 
     Real roots come first (ascending), then non-real roots sorted by
     (re midpoint, im midpoint); conjugate roots appear as mirrored boxes.
+    `real_boxes`, when given, is `isolate_real_roots(f)` already computed.
     """
-    real_boxes = isolate_real_roots(f)
+    real_boxes = list(isolate_real_roots(f) if real_boxes is None else real_boxes)
     pairs = f.degree - len(real_boxes)
     if pairs % 2:
         raise IsolationError("parity mismatch between real count and degree")
@@ -365,9 +376,11 @@ def isolate_roots(f: IntPolynomial) -> list[RootBox]:
 
 def _certify_upper_half(f: IntPolynomial, pairs: int, n_real: int,
                         dps: int) -> list[RootBox] | None:
+    from mpmath.libmp import NoConvergence
+
     try:
         seeds = _numeric_seeds(f, dps)
-    except (mpmath.libmp.NoConvergence, ZeroDivisionError):
+    except (NoConvergence, ZeroDivisionError):
         return None
     # numeric real roots can carry imaginary noise; the exact Sturm count
     # says how many seeds to treat as real (certification stays exact)

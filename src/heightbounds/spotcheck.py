@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 import random
 
-import mpmath
-
 from .forms import (ExceptionalSet, MultihomogeneousPolynomial,
                     WeightScheme, reciprocal_transform)
 
@@ -125,6 +123,8 @@ def polydisk_spotcheck(F: MultihomogeneousPolynomial, E: ExceptionalSet,
         hi = max(t for t, c in enumerate(poly) if c != 0)
         if hi == lo:
             return
+        import mpmath
+
         try:
             roots = mpmath.polyroots(poly[hi:lo - 1 if lo else None:-1], maxsteps=100)
         except mpmath.libmp.NoConvergence:

@@ -8,6 +8,7 @@ from heightbounds.algebraic import (AlgebraicNumber, DegreeCapExceeded, _from_po
                                     _isolated, _power_sums, _resultant_product,
                                     _resultant_sum, as_algebraic)
 from heightbounds.factor import factor_over_rationals
+from heightbounds.intervals import Interval, Rect
 from heightbounds.polys import IntPolynomial, parse_polynomial
 
 from conftest import alg, run_with_deadline
@@ -201,6 +202,29 @@ class TestPredicates:
             b = alg(rng.choice(pool), rng.randrange(2))
             assert a.is_totally_real() and b.is_totally_real()
             assert (a + b).is_totally_real()
+
+
+class TestRealFirst:
+    def test_real_arithmetic_certifies_no_nonreal_root(self, monkeypatch):
+        # the composed sum and product of x^3-2 and x^3-3 have non-real roots;
+        # real values are selected among the real conjugates alone
+        from heightbounds import algebraic as algebraic_mod
+        from heightbounds import roots as roots_mod
+
+        def refuse(*args):
+            raise AssertionError("a non-real root was certified")
+
+        for cache in (algebraic_mod._isolated, algebraic_mod._isolated_real,
+                      algebraic_mod.conjugate_box):
+            cache.cache_clear()
+        monkeypatch.setattr(roots_mod, "_certify_upper_half", refuse)
+        a = AlgebraicNumber(P("x^3-2"), Rect(Interval(1, 2), Interval(0)))
+        b = AlgebraicNumber(P("x^3-3"), Rect(Interval(1, 2), Interval(0)))
+        s, p = a + b, a * b
+        assert s.degree == 9 and s.is_real() and abs(float(s) - 2.7021706) < 1e-6
+        assert p.minpoly == P("x^3-6") and p.is_real()
+        assert (a * b) / b == a
+        assert a.sign() == 1 and (a - b).sign() == -1
 
 
 class TestRepr:

@@ -10,7 +10,7 @@ from heightbounds.intervals import Interval, ln_fraction
 from heightbounds.polys import parse_polynomial
 from heightbounds.verify import build_sum_form
 
-from conftest import LN_PHI, PHI
+from conftest import LN_PHI, PHI, run_with_deadline
 
 TOL9 = Fraction(1, 10**9)
 SLACK = Fraction(1, 10**38)
@@ -231,6 +231,21 @@ class TestThresholdRoot:
             value, _ = rho(cf, dlt, bits=80)
             box = value.box(Fraction(1, 1 << 80))
             assert iv.intersects(Interval(box.re.lo - TOL9, box.re.hi + TOL9))
+
+    def test_large_denominator_deltas_finish(self):
+        # w^q and its inverse have degree 2q with mostly non-real roots, which
+        # selecting the real threshold never certifies
+        for dlt in ("13/32", "1/20"):
+            out = run_with_deadline(
+                "from fractions import Fraction\n"
+                "from heightbounds.bounds import rho, threshold_root\n"
+                "from heightbounds.intervals import log_interval\n"
+                "d = Fraction('%s')\n"
+                "iv = threshold_root(d, Fraction(2), Fraction(2), bits=80)\n"
+                "_, log_rho = rho(2, d)\n"
+                "print(log_rho.intersects(log_interval(iv, 80)),\n"
+                "      log_rho.width < Fraction(1, 1 << 100))\n" % dlt, 5)
+            assert out.split() == ["True", "True"], dlt
 
     def test_high_degree_cleared_equation(self):
         # x^-1 + x^-301 = 1 clears to w + w^301 = 1: refined at degree 301,

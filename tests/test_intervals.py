@@ -149,6 +149,54 @@ class TestRect:
         assert v.contains_zero()
 
 
+def _fraction_rect_horner(coeffs, z: Rect) -> Rect:
+    """Reference: rectangle Horner in Fraction interval arithmetic."""
+    acc = Rect(Interval(0), Interval(0))
+    for c in reversed(coeffs):
+        acc = acc * z + Rect(Interval(c), Interval(0))
+    return acc
+
+
+def _fraction_point_horner(coeffs, zr: Fraction, zi: Fraction):
+    """Reference: complex Horner at a point in Fractions."""
+    ar, ai = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr
+    return ar, ai
+
+
+class TestIntegerHorner:
+    """`poly_eval_rect` and `roots._cpoly_eval` run on integers; they must
+    return exactly the rationals of Fraction Horner."""
+
+    @staticmethod
+    def _endpoint(rng: random.Random) -> Fraction:
+        den = rng.choice((1 << rng.randint(0, 150), 3 << rng.randint(0, 148),
+                          3 ** rng.randint(1, 94)))
+        return Fraction(rng.randint(-(1 << 150), 1 << 150), den)
+
+    def _interval(self, rng: random.Random, kind: str) -> Interval:
+        if kind == "axis":
+            return Interval(0)
+        a = self._endpoint(rng)
+        if kind == "point":
+            return Interval(a)
+        b = self._endpoint(rng)
+        return Interval(min(a, b), max(a, b))
+
+    def test_equals_fraction_reference(self):
+        from heightbounds.roots import _cpoly_eval
+        rng = random.Random(20170801)
+        for _ in range(5000):
+            coeffs = [rng.randint(-(1 << 64), 1 << 64) for _ in range(rng.randint(1, 13))]
+            re_kind = rng.choice(("wide", "wide", "point"))
+            im_kind = rng.choice(("wide", "wide", "point", "axis"))
+            z = Rect(self._interval(rng, re_kind), self._interval(rng, im_kind))
+            assert poly_eval_rect(coeffs, z) == _fraction_rect_horner(coeffs, z)
+            zr, zi = z.re.lo, z.im.hi
+            assert _cpoly_eval(coeffs, zr, zi) == _fraction_point_horner(coeffs, zr, zi)
+
+
 class TestDecimal:
     def test_directed_rounding(self):
         x = Fraction(1, 3)

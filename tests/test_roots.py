@@ -198,3 +198,19 @@ class TestKrawczyk:
     def test_nonreal_box_rejects_real_axis(self):
         with pytest.raises(IsolationError):
             RootBox(Interval(0, 1), Interval(Fraction(-1, 2), Fraction(1, 2)))
+
+
+class TestLazyNumerics:
+    def test_import_and_real_work_load_no_mpmath(self):
+        # mpmath seeds non-real roots only; importing the package and a
+        # totally real height need none
+        out = run_with_deadline(
+            "import sys\n"
+            "import heightbounds\n"
+            "from heightbounds import AlgebraicNumber, isolate_roots, parse_polynomial\n"
+            "from heightbounds import weil_log_height\n"
+            "print('mpmath' in sys.modules)\n"
+            "f = parse_polynomial('x^2-x-1')\n"
+            "weil_log_height(AlgebraicNumber(f, isolate_roots(f)[1]), bits=64)\n"
+            "print('mpmath' in sys.modules)\n", 30)
+        assert out.split() == ["False", "False"]
