@@ -2,17 +2,21 @@
 
 Real roots are isolated by Sturm-count bisection, so every real box is
 certified by an exact sign-variation count, and `isolate_real_roots` needs
-nothing else.  Non-real roots are seeded by a numerical solver (mpmath,
-imported only then) and certified with an exact rational Krawczyk
-inclusion test; no certificate ever depends on floating point.  The
-rectangle Horner under Krawczyk runs on integers over a common
+nothing else.  Non-real roots are certified all at once: Aberth-Ehrlich
+iteration from Newton-polygon starting points approximates every root, in
+Python floats at 53 bits and, only when those do not certify, in mpmath at
+twice the precision each time; one exact Weierstrass-disc test
+(`_certify_upper_half`) then certifies or refuses all the approximations
+together.  No certificate depends on floating point.  Refinement keeps
+interval Newton, with quadrisection certified by an exact Krawczyk test;
+the rectangle Horner under both runs on integers over a common
 denominator, with the same rational results as Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .intervals import (Interval, IntervalError, Rect, poly_eval_interval,
                         poly_eval_rect, rect_inverse, sqrt_fraction_down,
@@ -307,37 +311,104 @@ def _split_interval(iv: Interval, off: Fraction, bits: int) -> tuple[Interval, I
 
 
 # ---------------------------------------------------------------------------
-# full isolation
+# full isolation: Aberth seeds, Weierstrass inclusion discs
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if x == 0:
-            return Fraction(0)
-        raise IsolationError("non-finite numeric seed")
-    v = Fraction(man) * (Fraction(2) ** exp)
-    return -v if sign else v
+# Escalation stops past 53 * 2^8 = 13,568 bits, about 4,000 digits.
+_MAX_PREC = 53 << 8
 
 
-def _numeric_seeds(f: IntPolynomial, dps: int):
-    """(re, im, newton_correction) triples; the correction estimates the
-    distance from the seed to the true root (heuristically, for sizing)."""
-    import mpmath  # loaded only when a polynomial has non-real roots
+def _start_points(f: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
+    """Exact starting points for all roots of f: for each edge of the upper
+    Newton polygon of (k, bit length of a_k), as many points as the edge is
+    long, on the circle of radius 2^e with e the rounded slope; roots at 0
+    start at 0.
 
-    coeffs = [mpmath.mpf(c) for c in reversed(f.coeffs)]
-    deriv = [mpmath.mpf(c) for c in reversed(f.derivative().coeffs)]
-    out = []
-    with mpmath.workdps(dps):
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=dps * 4)
-        for z in roots:
-            z = mpmath.mpc(z)
-            fv = mpmath.polyval(coeffs, z)
-            dv = mpmath.polyval(deriv, z)
-            corr = abs(fv / dv) if dv != 0 else mpmath.inf
-            est = Fraction(str(mpmath.nstr(corr, 8))) if mpmath.isfinite(corr) else None
-            out.append((_mpf_to_fraction(z.real), _mpf_to_fraction(z.imag), est))
-    return out
+    Point k lies at the angle of sigma * omega^k, sigma = (12+5i)/13 and
+    omega = (3+4i)/5: Gaussian rationals, so no start depends on the host's
+    libm.  As 12+5i = i(3-2i)^2 and 3+4i = (2+i)^2, unique factorization in
+    Z[i] keeps (12+5i)(3+4i)^k off both axes (a real polynomial would keep
+    a real start real) and omega from being a root of unity (so no two
+    starts coincide)."""
+    hull: list[tuple[int, int]] = []
+    for k, c in enumerate(f.coeffs):
+        if not c:
+            continue
+        b = abs(c).bit_length()
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (b - hull[-2][1])
+                                  >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
+            hull.pop()
+        hull.append((k, b))
+    points = [(Fraction(0), Fraction(0))] * hull[0][0]
+    sx, sy, sd = 12, 5, 13
+    for (i, bi), (j, bj) in zip(hull, hull[1:]):
+        e = (2 * (bi - bj) + (j - i)) // (2 * (j - i))  # round((bi - bj) / (j - i))
+        num, den = (1 << e, 1) if e >= 0 else (1, 1 << -e)
+        for _ in range(j - i):
+            points.append((Fraction(sx * num, sd * den), Fraction(sy * num, sd * den)))
+            sx, sy, sd = 3 * sx - 4 * sy, 4 * sx + 3 * sy, 5 * sd
+    return points
+
+
+def _aberth(f: IntPolynomial, prec: int, real, cplx) -> list | None:
+    """Aberth-Ehrlich approximations to all roots of f, written once over
+    + - * / of one number type: `real` rounds a Fraction into it and `cplx`
+    pairs two of its values.  Gauss-Seidel sweeps from `_start_points`; a
+    root is frozen once its correction is below 2^(12-prec) of its modulus,
+    and at most 20 + 4n + prec/4 sweeps run (a cluster converges only
+    linearly, the more slowly the tighter it is).  None when a value is not
+    finite."""
+    n = f.degree
+    coeffs = [real(Fraction(c)) for c in reversed(f.coeffs)]
+    z = [cplx(real(x), real(y)) for x, y in _start_points(f)]
+    tol2 = real(Fraction(1, 1 << 2 * (prec - 12)))
+    active = list(range(n))
+    for _ in range(20 + 4 * n + prec // 4):
+        moving = []
+        for i in active:
+            zi = z[i]
+            p = d = 0
+            for c in coeffs:  # f(zi) and f'(zi) by Horner
+                d = d * zi + p
+                p = p * zi + c
+            if p == 0:
+                continue  # zi is a root
+            s = d / p
+            for j in range(n):
+                if j != i:
+                    s -= 1 / (zi - z[j])
+            w = 1 / s
+            z[i] = zi - w
+            w2 = w.real * w.real + w.imag * w.imag
+            if w2 - w2 != 0:  # inf or nan
+                return None
+            if w2 > tol2 * (zi.real * zi.real + zi.imag * zi.imag):
+                moving.append(i)
+        active = moving
+        if not active:
+            break
+    return z
+
+
+def _aberth_seeds(f: IntPolynomial, prec: int) -> list[tuple[Fraction, Fraction]] | None:
+    """`_aberth` at `prec` bits as exact dyadic points: in Python floats at
+    53 bits, in mpmath (imported only then) above; None when it fails."""
+    try:
+        if prec <= 53:
+            z, exact = _aberth(f, prec, float, complex), Fraction
+        else:
+            import mpmath
+            from mpmath.libmp import to_rational
+
+            with mpmath.workprec(prec):
+                z = _aberth(f, prec, lambda x: mpmath.mpf(x.numerator) / x.denominator,
+                            mpmath.mpc)
+
+            def exact(x):
+                return Fraction(*to_rational(x._mpf_))
+        return None if z is None else [(exact(v.real), exact(v.imag)) for v in z]
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None  # a value overflowed or is inf or nan, or a divisor is 0
 
 
 def isolate_roots(f: IntPolynomial, real_boxes=None) -> list[RootBox]:
@@ -346,26 +417,26 @@ def isolate_roots(f: IntPolynomial, real_boxes=None) -> list[RootBox]:
     Real roots come first (ascending), then non-real roots sorted by
     (re midpoint, im midpoint); conjugate roots appear as mirrored boxes.
     `real_boxes`, when given, is `isolate_real_roots(f)` already computed.
+    Non-real roots are seeded at 53 bits, then at twice the precision until
+    `_certify_upper_half` accepts the seeds, up to `_MAX_PREC`.
     """
     real_boxes = list(isolate_real_roots(f) if real_boxes is None else real_boxes)
     pairs = f.degree - len(real_boxes)
     if pairs % 2:
         raise IsolationError("parity mismatch between real count and degree")
-    pairs //= 2
     if pairs == 0:
         return real_boxes
-
-    dps = max(30, 2 * f.degree)
-    n_real = len(real_boxes)
+    prec = 53
     while True:
-        upper = _certify_upper_half(f, pairs, n_real, dps)
+        seeds = _aberth_seeds(f, prec)
+        upper = None if seeds is None else _certify_upper_half(f, seeds, len(real_boxes))
         if upper is not None:
             break
-        dps *= 2
-        if dps > 4000:
+        prec *= 2
+        if prec > _MAX_PREC:
             raise IsolationError("cannot certify complex roots of %s" % f)
-    # pairwise disjoint by construction: the real boxes are shrunk apart, the
-    # upper boxes are checked pairwise and have im.lo > 0, and mirrors lie below
+    # pairwise disjoint: the upper boxes are certified apart and have
+    # im.lo > 0, their mirrors lie below, and real boxes lie on the axis
     boxes = list(real_boxes)
     upper.sort(key=lambda b: (b.re.mid, b.im.mid))
     for ub in upper:
@@ -374,63 +445,72 @@ def isolate_roots(f: IntPolynomial, real_boxes=None) -> list[RootBox]:
     return boxes
 
 
-def _certify_upper_half(f: IntPolynomial, pairs: int, n_real: int,
-                        dps: int) -> list[RootBox] | None:
-    from mpmath.libmp import NoConvergence
+def _dyadic_sqrt_up(x: Fraction) -> Fraction:
+    """A dyadic rational >= sqrt(x) > 0 with 8 or 9 significant bits."""
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) // 2 - 8
+    num, den = ((x.numerator, x.denominator << 2 * e) if e >= 0
+                else (x.numerator << -2 * e, x.denominator))
+    s = -(-num // den)
+    r = isqrt(s)
+    r += r * r < s
+    return Fraction(r << e) if e >= 0 else Fraction(r, 1 << -e)
 
-    try:
-        seeds = _numeric_seeds(f, dps)
-    except (NoConvergence, ZeroDivisionError):
-        return None
-    # numeric real roots can carry imaginary noise; the exact Sturm count
-    # says how many seeds to treat as real (certification stays exact)
-    seeds = sorted(seeds, key=lambda s: (abs(s[1]), s[0]))
-    candidates = seeds[n_real:]
-    ups = [(re, im, est) for re, im, est in candidates if im > 0]
-    if len(ups) != pairs:
-        return None
-    # minimum chebyshev distance between any two seeds bounds safe box radius
-    min_sep = None
-    for i in range(len(seeds)):
-        for j in range(i + 1, len(seeds)):
-            d = max(abs(seeds[i][0] - seeds[j][0]), abs(seeds[i][1] - seeds[j][1]))
-            if min_sep is None or d < min_sep:
-                min_sep = d
-    if not min_sep:
-        return None
-    out = []
-    for re, im, est in ups:
-        if est is None or est * 16 > min_sep:
-            return None  # seeds not credibly separated; escalate precision
-        r0 = min(min_sep / 4, im / 2)
-        # the seed is accurate far below the separation, so a box 4096
-        # Newton corrections wide usually certifies at once, and refinement
-        # then starts from it; otherwise widest first.  Below ~4x the
-        # Newton-correction estimate the box can no longer be trusted to
-        # contain the root, so give up and escalate seeding precision
-        radii = {r0 / 4 ** k for k in range(8)}
-        if est > 0:
-            radii |= {est * s for s in (4096, 256, 32, 8, 4)}
-        radii = sorted((r for r in radii if est * 4 <= r <= r0),
-                       key=lambda r: (r != est * 4096, -r))
-        box = None
-        for r in radii:
-            re_iv = Interval(re - r, re + r).round_out(dps * 4)
-            im_iv = Interval(im - r, im + r).round_out(dps * 4)
-            if im_iv.lo <= 0:
+
+def _certify_upper_half(f: IntPolynomial, seeds, n_real: int) -> list[RootBox] | None:
+    """Boxes certified to hold exactly the roots of f in the upper half
+    plane, one each, from `seeds`: one rational approximation per root (all
+    n of them); None when the seeds do not certify.
+
+    Theorem (Gerschgorin's theorem for the matrix diag(z) - W 1^T, whose
+    characteristic polynomial is f / lead; Carstensen, Numer. Math. 59,
+    1991, after Braess and Hadeler, Numer. Math. 21, 1973): with the
+    Weierstrass corrections W_i = f(z_i) / (lead * prod_{j != i} (z_i - z_j))
+    every root of f lies in a disc D(z_i - W_i, (n-1)|W_i|), and a union of
+    m of these discs that meets no other holds exactly m roots.  Each lies
+    in D_i = D(z_i, r_i), r_i >= n|W_i| computed exactly and rounded up to
+    a dyadic with 8 or 9 significant bits.  The seeds certify when
+
+    * |z_i - z_j| > (3/2)(r_i + r_j) for every pair, so the D_i are
+      disjoint and each holds exactly one root; the square z_i + [-r_i,
+      r_i]^2 reaches at most sqrt(2) r_i from z_i, so it meets no other D_j
+      and holds that root alone;
+    * exactly `n_real` (the Sturm count) of the D_i meet the real axis, so
+      those hold the real roots and every other D_i a non-real one.
+
+    The boxes are the squares of the D_i above the axis (Im z_i > r_i): one
+    for each root in the upper half plane, and each off the real axis.
+    """
+    n = f.degree
+    q = lcm(*(v.denominator for z in seeds for v in z))
+    pts = [(x.numerator * (q // x.denominator), y.numerator * (q // y.denominator))
+           for x, y in seeds]
+    # |z_i - z_j|^2 q^2, exact
+    d2 = [[(a - c) ** 2 + (b - d) ** 2 for c, d in pts] for a, b in pts]
+    scale = n * n * q ** (2 * (n - 1))
+    radii = []
+    for i, (x, y) in enumerate(seeds):
+        prod = f.coeffs[-1] ** 2
+        for j in range(n):
+            if j != i:
+                prod *= d2[i][j]
+        if prod == 0:
+            return None  # two seeds coincide
+        fr, fi = _cpoly_eval(f.coeffs, x, y)
+        w2 = (fr * fr + fi * fi) * scale / prod  # (n |W_i|)^2
+        # a seed that is a root gets a disc far inside the seeds' grid
+        radii.append(_dyadic_sqrt_up(w2) if w2 else Fraction(1, 1 << q.bit_length() + 8))
+    # the comparisons run on integers over the common denominator big_q
+    big_q = lcm(q, *(r.denominator for r in radii))
+    s = big_q // q
+    rad = [r.numerator * (big_q // r.denominator) for r in radii]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if 4 * d2[i][j] * s * s <= 9 * (rad[i] + rad[j]) ** 2:
                 return None
-            cand = RootBox(re_iv, im_iv)
-            if krawczyk_passes(f, cand):
-                box = cand
-                break
-        if box is None:
-            return None
-        out.append(box)
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            if out[i].intersects(out[j]):
-                return None
-    return out
+    if sum(abs(b) * s <= r for (_, b), r in zip(pts, rad)) != n_real:
+        return None
+    return [RootBox(Interval(x - r, x + r), Interval(y - r, y + r))
+            for (x, y), (_, b), r, rq in zip(seeds, pts, radii, rad) if b * s > rq]
 
 
 def refine_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox:

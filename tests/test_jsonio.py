@@ -51,6 +51,16 @@ class TestAlgnum:
             "        raise AssertionError('an exponent string was accepted')\n", seconds=2)
         assert jsonio.algnum_from_json("-1.25").as_fraction() == Fraction(-5, 4)
 
+    def test_root_far_from_one_accepted(self):
+        # the roots of x^2 + 10^200 are +-10^100 i, far from the unit circle
+        run_with_deadline(
+            "from heightbounds import jsonio\n"
+            "doc = {'minpoly': [10**200, 0, 1], 'root': {'re': ['-1', '1'],"
+            " 'im': ['1', str(10**201)]}}\n"
+            "a = jsonio.algnum_from_json(doc)\n"
+            "assert a.minpoly.coeffs == (10**200, 0, 1)\n"
+            "assert abs(complex(a) - 1e100j) < 1e86\n", seconds=10)
+
     def test_box_with_two_roots_rejected(self):
         # the box holds both roots of x^4+1 in the upper half-plane
         run_with_deadline(

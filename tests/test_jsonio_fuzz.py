@@ -148,7 +148,7 @@ def _free_documents(draw):
                     st.fixed_dictionaries({"re": st.lists(_field, max_size=3),
                                            "im": st.lists(_field, max_size=3)}),
                     st.fixed_dictionaries({"re": st.just(["0", "1"])}), _field))}
-    coeffs = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=10))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=41))
     if any(coeffs[1:]) and draw(st.booleans()):
         # a box a few grid cells around a numerical root
         try:

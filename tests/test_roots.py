@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import to_rational
 
 from heightbounds.intervals import Interval
 from heightbounds.polys import IntPolynomial, count_real_roots, parse_polynomial, squarefree_part
-from heightbounds.roots import (IsolationError, RootBox, isolate_real_roots,
-                                isolate_roots, krawczyk_passes, refine_box,
-                                refine_complex_box, refine_real_box)
+from heightbounds.roots import (IsolationError, RootBox, _aberth_seeds, _certify_upper_half,
+                                isolate_real_roots, isolate_roots, krawczyk_passes,
+                                refine_box, refine_complex_box, refine_real_box)
 
 from conftest import LEHMER_TEXT, run_with_deadline
 
@@ -162,6 +163,64 @@ class TestComplexIsolation:
                     hits += 1
             assert hits == 1
 
+    def test_clustered_roots_escalate(self):
+        # 10^k (x^2+1)^2 + 1 has two pairs of roots 10^(-k/2) apart; 53-bit
+        # seeds cannot tell them apart, so seeding escalates
+        run_with_deadline(
+            "from heightbounds.polys import IntPolynomial\n"
+            "from heightbounds.roots import isolate_roots\n"
+            "for k in (30, 60):\n"
+            "    f = IntPolynomial([10**k + 1, 0, 2 * 10**k, 0, 10**k])\n"
+            "    boxes = isolate_roots(f)\n"
+            "    assert len(boxes) == 4 and not any(b.is_real for b in boxes)\n"
+            "    assert not any(a.intersects(b) for i, a in enumerate(boxes)"
+            " for b in boxes[i + 1:])\n", seconds=10)
+
+    def test_degree_cap(self):
+        # irreducible polynomials at the composite degree cap
+        run_with_deadline(
+            "from heightbounds.polys import count_real_roots, parse_polynomial\n"
+            "from heightbounds.roots import isolate_roots\n"
+            "for text in ('x^64-2', 'x^63-x-1', 'x^64+1', 'x^62+3*x^31+1'):\n"
+            "    f = parse_polynomial(text)\n"
+            "    boxes = isolate_roots(f)\n"
+            "    assert len(boxes) == f.degree\n"
+            "    assert sum(b.is_real for b in boxes) == count_real_roots(f)\n", seconds=20)
+
+
+class TestWeierstrassCertificate:
+    def test_refuses_coincident_or_moved_seeds(self):
+        for text in (LEHMER_TEXT, "x^10-3*x^7+x^4+2*x+5", "x^8+x^3-1"):
+            f = P(text)
+            n_real = count_real_roots(f)
+            seeds = _aberth_seeds(f, 53)
+            assert _certify_upper_half(f, seeds, n_real) is not None
+            for k in range(f.degree):
+                twin = seeds[:k] + [seeds[k - 1]] + seeds[k + 1:]
+                moved = seeds[:k] + [(seeds[k][0] + Fraction(1, 10), seeds[k][1])] + seeds[k + 1:]
+                assert _certify_upper_half(f, twin, n_real) is None
+                assert _certify_upper_half(f, moved, n_real) is None
+
+    def test_each_box_holds_one_root(self):
+        rng = random.Random(41)
+        done = 0
+        while done < 12:
+            cs = [rng.randint(-20, 20) for _ in range(rng.randint(2, 16))] + [rng.randint(1, 20)]
+            f = squarefree_part(IntPolynomial(cs))
+            if f.degree < 2 or count_real_roots(f) == f.degree:
+                continue
+            done += 1
+            upper = _certify_upper_half(f, _aberth_seeds(f, 53), count_real_roots(f))
+            assert upper is not None and 2 * len(upper) == f.degree - count_real_roots(f)
+            with mpmath.workdps(60):
+                zs = mpmath.polyroots(list(reversed(f.coeffs)), maxsteps=500, extraprec=300)
+                zs = [(Fraction(*to_rational(mpmath.mpf(z.real)._mpf_)),
+                       Fraction(*to_rational(mpmath.mpf(z.imag)._mpf_))) for z in zs]
+            for b in upper:
+                assert b.im.lo > 0
+                assert sum(b.re.lo <= x <= b.re.hi and b.im.lo <= y <= b.im.hi
+                           for x, y in zs) == 1
+
 
 class TestKrawczyk:
     def test_passes_on_good_box(self):
@@ -202,8 +261,9 @@ class TestKrawczyk:
 
 class TestLazyNumerics:
     def test_import_and_real_work_load_no_mpmath(self):
-        # mpmath seeds non-real roots only; importing the package and a
-        # totally real height need none
+        # 53-bit seeds are Python floats, so mpmath is loaded only when
+        # seeding escalates: importing the package, a totally real height,
+        # and non-real roots that certify at once need none
         out = run_with_deadline(
             "import sys\n"
             "import heightbounds\n"
@@ -212,5 +272,9 @@ class TestLazyNumerics:
             "print('mpmath' in sys.modules)\n"
             "f = parse_polynomial('x^2-x-1')\n"
             "weil_log_height(AlgebraicNumber(f, isolate_roots(f)[1]), bits=64)\n"
-            "print('mpmath' in sys.modules)\n", 30)
-        assert out.split() == ["False", "False"]
+            "print('mpmath' in sys.modules)\n"
+            "isolate_roots(parse_polynomial('x^4+x+1'))\n"
+            "f, g = parse_polynomial('x^3-2'), parse_polynomial('x^2+x+1')\n"
+            "p = AlgebraicNumber(f, isolate_roots(f)[0]) * AlgebraicNumber(g, isolate_roots(g)[0])\n"
+            "print(p.is_real(), 'mpmath' in sys.modules)\n", 30)
+        assert out.split() == ["False", "False", "False", "False"]
