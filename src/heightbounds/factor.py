@@ -1,17 +1,20 @@
 """Factorization of integer polynomials over the rationals.
 
 Pipeline: content/primitive split, Yun squarefree decomposition, then for
-each squarefree part a Zassenhaus round: factor mod a good small prime
-(Berlekamp), Hensel-lift to a Mignotte-sized modulus, recombine factors by
-subset search.  Exponential recombination is fine at the degrees this
-package targets (<= ~64; practical inputs stay below ~30).
+each squarefree part a Zassenhaus round.  At each small prime the size of
+the Berlekamp basis counts the factors mod p; the prime with the fewest is
+chosen and f is split there only.  The factors are Hensel-lifted as
+ascending residue lists to a Mignotte-sized modulus p^l and recombined by
+subset search, with a polynomial over Z built only for each candidate.
+Exponential recombination is fine at the degrees this package targets
+(<= ~64; practical inputs stay below ~30).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, isqrt, log2
+from math import isqrt
 
 from .polys import IntPolynomial, PolynomialError, poly_gcd
 
@@ -35,6 +38,15 @@ def gf_to_poly(a: list[int], p: int) -> IntPolynomial:
     """Lift with balanced residues in (-p/2, p/2]."""
     half = p // 2
     return IntPolynomial([c - p if c > half else c for c in a])
+
+
+def gf_add(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return _gf_strip(out)
 
 
 def gf_sub(a, b, p):
@@ -182,17 +194,11 @@ def _nullspace_mod(matrix, p):
     return basis
 
 
-def gf_factor_squarefree(f, p) -> list[list[int]]:
-    """Monic irreducible factors of a monic squarefree f over GF(p)."""
-    f = gf_monic(f, p)
-    if len(f) <= 2:
-        return [f] if len(f) == 2 else []
-    rows = _berlekamp_matrix(f, p)
-    basis = _nullspace_mod(rows, p)
+def gf_factor_squarefree(f, p, basis) -> list[list[int]]:
+    """Monic irreducible factors of a monic squarefree f over GF(p), split
+    by `basis`, the Berlekamp subalgebra basis of f; there are len(basis)."""
     r = len(basis)
     factors = [f]
-    if r == 1:
-        return factors
     for v in basis:
         vv = _gf_strip(list(v))
         if len(vv) <= 1:
@@ -224,70 +230,47 @@ def gf_factor_squarefree(f, p) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting (quadratic, pairwise split)
-
-
-def _trunc_sym(f: IntPolynomial, m: int) -> IntPolynomial:
-    half = m // 2
-    out = []
-    for c in f.coeffs:
-        c %= m
-        if c > half:
-            c -= m
-        out.append(c)
-    return IntPolynomial(out)
+# Hensel lifting (quadratic, pairwise split) on residue lists modulo p^k;
+# every divisor is monic, so the GF(p) helpers above are valid there
 
 
 def _hensel_step(m, f, g, h, s, t):
-    """One quadratic lift: from mod m to mod m^2 (Gathen-Gerhard style)."""
+    """One quadratic lift of f = g*h, s*g + t*h = 1 from mod m to mod m^2
+    (von zur Gathen & Gerhard, Modern Computer Algebra, Alg. 15.10)."""
     M = m * m
-    e = _trunc_sym(f - g * h, M)
-    q, r, _ = (s * e).pseudo_divmod(h)  # h is monic, so pseudo == true division
-    q = _trunc_sym(q, M)
-    r = _trunc_sym(r, M)
-    u = t * e + q * g
-    G = _trunc_sym(g + u, M)
-    H = _trunc_sym(h + r, M)
-    b = _trunc_sym(s * G + t * H - IntPolynomial([1]), M)
-    c, d, _ = (s * b).pseudo_divmod(H)
-    c = _trunc_sym(c, M)
-    d = _trunc_sym(d, M)
-    u2 = t * b + c * G
-    S = _trunc_sym(s - d, M)
-    T = _trunc_sym(t - u2, M)
+    e = gf_sub([c % M for c in f], gf_mul(g, h, M), M)
+    q, r = gf_divmod(gf_mul(s, e, M), h, M)
+    G = gf_add(g, gf_add(gf_mul(t, e, M), gf_mul(q, g, M), M), M)
+    H = gf_add(h, r, M)
+    b = gf_sub(gf_add(gf_mul(s, G, M), gf_mul(t, H, M), M), [1], M)
+    c, d = gf_divmod(gf_mul(s, b, M), H, M)
+    S = gf_sub(s, d, M)
+    T = gf_sub(t, gf_add(gf_mul(t, b, M), gf_mul(c, G, M), M), M)
     return G, H, S, T
 
 
-def _hensel_lift(p, f, modular_factors, l) -> list[IntPolynomial]:
-    """Lift monic pairwise-coprime factors of f mod p to factors mod p^l."""
-    r = len(modular_factors)
-    lc = f.lead
-    if r == 1:
-        inv = pow(lc, -1, p ** l)
-        return [_trunc_sym(f.scale(inv), p ** l)]
-    k = r // 2
-    d = int(ceil(log2(l))) if l > 1 else 1
-    g = [lc % p]
+def _hensel_lift(p, f, modular_factors, l) -> list[list[int]]:
+    """Lift the monic pairwise-coprime factors of f mod p (ascending
+    coefficients, lead prime to p) to monic factors mod p^l."""
+    pl = p ** l
+    k = len(modular_factors) // 2
+    if not k:
+        return [gf_monic(f, pl)]
+    g = [f[-1] % p]
     for mf in modular_factors[:k]:
-        g = gf_mul(g, gf_from_poly(mf, p), p)
-    h = gf_from_poly(modular_factors[k], p)
+        g = gf_mul(g, mf, p)
+    h = modular_factors[k]
     for mf in modular_factors[k + 1:]:
-        h = gf_mul(h, gf_from_poly(mf, p), p)
+        h = gf_mul(h, mf, p)
     s, t, one = gf_gcdex(g, h, p)
     if len(one) != 1:
         raise PolynomialError("modular factors not coprime")
-    G = gf_to_poly(g, p)
-    H = gf_to_poly(h, p)
-    S = gf_to_poly(s, p)
-    T = gf_to_poly(t, p)
     m = p
-    for _ in range(d):
-        G, H, S, T = _hensel_step(m, f, G, H, S, T)
+    while m < pl:
+        g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m = m * m
-        if m >= p ** l:
-            break
-    return (_hensel_lift(p, G, modular_factors[:k], l)
-            + _hensel_lift(p, H, modular_factors[k:], l))
+    return (_hensel_lift(p, g, modular_factors[:k], l)
+            + _hensel_lift(p, h, modular_factors[k:], l))
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +323,27 @@ def factor_squarefree_primitive(f: IntPolynomial) -> list[IntPolynomial]:
         fp = gf_from_poly(f, p)
         if len(fp) - 1 != n or not gf_is_squarefree(fp, p):
             continue
-        facs = gf_factor_squarefree(gf_monic(fp, p), p)
+        # the factor count mod p is the Berlekamp basis size; split only at
+        # the prime chosen
+        fp = gf_monic(fp, p)
+        basis = _nullspace_mod(_berlekamp_matrix(fp, p), p)
         usable += 1
-        if best is None or len(facs) < len(best[1]):
-            best = (p, facs)
-        if (len(facs) <= 3 or (len(best[1]) <= 6 and p > 30)
+        if best is None or len(basis) < len(best[2]):
+            best = (p, fp, basis)
+        if (len(basis) <= 3 or (len(best[2]) <= 6 and p > 30)
                 or usable == _USABLE_PRIMES):
             break
     if best is None:
         raise PolynomialError("no usable prime found")
-    p, modular = best
-    if len(modular) == 1:
+    p, fp, basis = best
+    if len(basis) == 1:
         return [f]
     B = _mignotte_bound(f)
     # smallest l with p^l > 2B (integer arithmetic; B can exceed float range)
     l = max(1, (2 * B + 1).bit_length() // max(1, p.bit_length() - 1))
     while p ** l <= 2 * B:
         l += 1
-    lifted = _hensel_lift(p, f, [gf_to_poly(g, p) for g in modular], l)
+    lifted = _hensel_lift(p, f.coeffs, gf_factor_squarefree(fp, p, basis), l)
     pl = p ** l
 
     # subset recombination
@@ -373,15 +359,15 @@ def factor_squarefree_primitive(f: IntPolynomial) -> list[IntPolynomial]:
             # cheap test: constant coefficient of candidate must divide f's
             q = b % pl
             for i in subset:
-                q = (q * lifted[i].constant) % pl
+                q = (q * lifted[i][0]) % pl
             half = pl // 2
             qs = q - pl if q > half else q
             if qs != 0 and fc % qs != 0 and b == 1:
                 continue
-            G = IntPolynomial([b])
+            G = [b % pl]
             for i in subset:
-                G = _trunc_sym(G * lifted[i], pl)
-            G = G.primitive_part()
+                G = gf_mul(G, lifted[i], pl)
+            G = gf_to_poly(G, pl).primitive_part()
             if G.lead < 0:
                 G = -G
             if G.degree >= 1 and G.divides(rest):

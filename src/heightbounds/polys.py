@@ -33,7 +33,9 @@ class IntPolynomial:
     def __init__(self, coeffs: Iterable[int]):
         cs = []
         for c in coeffs:
-            if isinstance(c, Fraction):
+            if type(c) is int:
+                pass  # the common case, without the ABC check on Fraction
+            elif isinstance(c, Fraction):
                 if c.denominator != 1:
                     raise PolynomialError("integer coefficients required, got %s" % c)
                 c = c.numerator
@@ -200,10 +202,11 @@ class IntPolynomial:
         quo = [0] * (df - dg + 1)
         for i in range(df - dg, -1, -1):
             # multiply the not-yet-processed part by lc(g) each step
-            for j in range(dg + i):
-                rem[j] *= lg
-            for j in range(len(quo)):
-                quo[j] *= lg
+            if lg != 1:
+                for j in range(dg + i):
+                    rem[j] *= lg
+                for j in range(len(quo)):
+                    quo[j] *= lg
             c = rem[dg + i]
             quo[i] = c
             for j, cg in enumerate(g.coeffs):

@@ -4,8 +4,10 @@ import mpmath
 import pytest
 import sympy
 
-from heightbounds.factor import (_odd_primes, factor_over_rationals, is_irreducible,
-                                 squarefree_decomposition)
+from heightbounds.factor import (_berlekamp_matrix, _hensel_lift, _nullspace_mod,
+                                 _odd_primes, factor_over_rationals, gf_factor_squarefree,
+                                 gf_from_poly, gf_is_squarefree, gf_monic, gf_mul,
+                                 is_irreducible, squarefree_decomposition)
 from heightbounds.polys import IntPolynomial, PolynomialError, parse_polynomial
 
 from conftest import run_with_deadline
@@ -75,6 +77,73 @@ class TestAgainstSympy:
             assert is_irreducible(f) == bool(sympy.Poly(expr, x).is_irreducible)
 
 
+def sympy_factors(f):
+    """factor_over_rationals's answer, computed by sympy."""
+    x = sympy.Symbol("x")
+    _, facs = sympy.factor_list(sympy.Poly(list(reversed(f.coeffs)), x))
+    out = [(IntPolynomial([int(c) for c in reversed(g.all_coeffs())]).canonical(), m)
+           for g, m in facs]
+    return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
+
+
+def random_irreducible(rng, deg):
+    x = sympy.Symbol("x")
+    while True:
+        cs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 4)]
+        if cs[0] and sympy.Poly(list(reversed(cs)), x).is_irreducible:
+            return IntPolynomial(cs)
+
+
+class TestCompositeDegrees:
+    def test_products_of_irreducibles_match_sympy(self):
+        rng = random.Random(1213)
+        degrees = set()
+        for _ in range(12):
+            f = IntPolynomial([1])
+            while f.degree < 12:
+                f = IntPolynomial([1])
+                for _ in range(rng.randint(2, 3)):
+                    f = f * random_irreducible(rng, rng.randint(3, 9))
+            degrees.add(f.degree)
+            assert factor_over_rationals(f) == sympy_factors(f)
+        assert min(degrees) >= 12 and max(degrees) <= 27
+
+    def test_round_trip_resultant_matches_sympy(self):
+        # the polynomial (a+b)-b meets for a, b of degree 3: its roots are
+        # a_i + b_j - b_k, so it is minpoly(a)^3 times a degree-18 part
+        x, y = sympy.symbols("x y")
+        a = x ** 3 + 2 * x ** 2 + 2 * x - 1
+        b = y ** 3 - y - 1
+        s = sympy.resultant(a.subs(x, x - y), b, y)
+        back = sympy.Poly(sympy.resultant(s.subs(x, x + y), b, y), x)
+        f = IntPolynomial([int(c) for c in reversed(back.all_coeffs())])
+        facs = factor_over_rationals(f)
+        assert f.degree == 27
+        assert (IntPolynomial([-1, 2, 2, 1]), 3) in facs
+        assert sum(g.degree * m for g, m in facs) == 27
+        assert facs == sympy_factors(f)
+
+
+class TestHenselLift:
+    def test_lifted_factors_multiply_to_f_and_reduce_to_modular(self):
+        f = IntPolynomial(FOUR_ROOTS) * P("3*x^2-x-5")
+        p, l = 13, 6
+        fp = gf_from_poly(f, p)
+        assert gf_is_squarefree(fp, p)
+        fp = gf_monic(fp, p)
+        modular = gf_factor_squarefree(fp, p, _nullspace_mod(_berlekamp_matrix(fp, p), p))
+        assert len(modular) >= 8
+        pl = p ** l
+        lifted = _hensel_lift(p, f.coeffs, modular, l)
+        prod = [f.lead % pl]
+        for g in lifted:
+            prod = gf_mul(prod, g, pl)
+        assert prod == [c % pl for c in f.coeffs]
+        for g, mf in zip(lifted, modular):
+            assert g[-1] == 1
+            assert [c % p for c in g] == mf
+
+
 class TestSquarefreeDecomposition:
     def test_yun(self):
         f = P("x-1") ** 3 * P("x^2-2")
@@ -97,6 +166,14 @@ class TestSquarefreeDecomposition:
 FOUR_ROOTS = [46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0,
               -141912, 0, 6476, 0, -136, 0, 1]
 
+# minimal polynomial of sqrt2 + sqrt3 + sqrt5 + sqrt7 + sqrt11 (degree 32);
+# it has at least sixteen factors modulo every prime
+FIVE_ROOTS = [2000989041197056, 0, -44660812492570624, 0, 183876928237731840, 0,
+              -255690851718529024, 0, 172580952324702208, 0, -65892492886671360, 0,
+              15459151516270592, 0, -2349014746136576, 0, 239210760462336, 0,
+              -16665641517056, 0, 801918722048, 0, -26625650688, 0, 602397952, 0,
+              -9028096, 0, 84864, 0, -448, 0, 1]
+
 
 class TestPrimeStream:
     def test_odd_primes_in_order_below_the_bound(self):
@@ -116,3 +193,13 @@ class TestManyModularFactors:
             "from heightbounds.polys import IntPolynomial\n"
             "f = IntPolynomial(%r)\n"
             "assert factor_over_rationals(f) == [(f, 1)]\n" % FOUR_ROOTS)
+
+    def test_five_square_roots_minpoly_irreducible(self):
+        with mpmath.workdps(100):
+            x = sum(mpmath.sqrt(k) for k in (2, 3, 5, 7, 11))
+            assert abs(mpmath.polyval(list(reversed(FIVE_ROOTS)), x)) < mpmath.mpf(10) ** -30
+        run_with_deadline(
+            "from heightbounds.factor import factor_over_rationals\n"
+            "from heightbounds.polys import IntPolynomial\n"
+            "f = IntPolynomial(%r)\n"
+            "assert factor_over_rationals(f) == [(f, 1)]\n" % FIVE_ROOTS)

@@ -41,6 +41,17 @@ class TestArithmetic:
         assert f.scale(lead) == q * g + r
         assert r.degree < g.degree
 
+    def test_pseudo_divrem_monic_is_true_division(self):
+        f, g = P("3*x^5-x^3+2*x+7"), P("x^2+4*x-1")
+        q, r, k = f.pseudo_divmod(g)
+        assert k == 4 and f == q * g + r and r.degree < g.degree
+
+    def test_coefficient_types(self):
+        assert IntPolynomial([True, Fraction(4, 2), 3]).coeffs == (1, 2, 3)
+        for bad in (Fraction(1, 2), 1.0, "1", None):
+            with pytest.raises(PolynomialError):
+                IntPolynomial([1, bad])
+
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             P("x").pseudo_divmod(IntPolynomial(()))
