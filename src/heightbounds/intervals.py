@@ -132,13 +132,6 @@ class Interval:
             return Interval(base.lo ** n, base.hi ** n)
         return Interval(self.lo ** n, self.hi ** n)
 
-    def round_out(self, bits: int) -> "Interval":
-        """Widen endpoints outward onto the 2^-bits dyadic grid (keeps fractions small)."""
-        scale = 1 << bits
-        lo = Fraction(self.lo.numerator * scale // self.lo.denominator, scale)
-        hi = Fraction(_ceil_div(self.hi.numerator * scale, self.hi.denominator), scale)
-        return Interval(lo, hi)
-
 
 def _as_interval(x) -> Interval:
     if isinstance(x, Interval):
@@ -412,9 +405,6 @@ class Rect:
     def mid(self) -> tuple[Fraction, Fraction]:
         return self.re.mid, self.im.mid
 
-    def round_out(self, bits: int) -> "Rect":
-        return Rect(self.re.round_out(bits), self.im.round_out(bits))
-
 
 def _as_rect(x) -> Rect:
     if isinstance(x, Rect):
@@ -432,14 +422,40 @@ def rect_inverse(z: Rect) -> Rect:
 
 
 def poly_eval_rect(coeffs, z: Rect) -> Rect:
-    """Rectangle Horner with `Rect.__mul__`'s interval products, run on the
-    integers q^k acc (q the common denominator of z's corners), as
-    `poly_eval_interval` does on the line: the same rational result, with
-    no gcd per step."""
+    """Rectangle Horner with `Rect.__mul__`'s interval products, run on
+    integers by `_horner_rect`: the same rational result, with no gcd per
+    step."""
     re, im = z.re, z.im
     q = lcm(re.lo.denominator, re.hi.denominator, im.lo.denominator, im.hi.denominator)
     a, b = re.lo.numerator * (q // re.lo.denominator), re.hi.numerator * (q // re.hi.denominator)
     c, d = im.lo.numerator * (q // im.lo.denominator), im.hi.numerator * (q // im.hi.denominator)
+    rlo, rhi, ilo, ihi = _horner_rect(coeffs, a, b, c, d, q)
+    s = q ** (len(coeffs) - 1) if coeffs else 1
+    return Rect(Interval(Fraction(rlo, s), Fraction(rhi, s)),
+                Interval(Fraction(ilo, s), Fraction(ihi, s)))
+
+
+# Integer Horner cores.  A point or corner x/q enters as its numerator x
+# over a common denominator q, and the accumulator after k steps is q^k
+# times the Fraction accumulator, so a result over q^(len(coeffs) - 1) is
+# exactly the rational that Fraction (interval) Horner gives: min and max
+# commute with the positive scaling.
+
+
+def _horner_interval(coeffs, a: int, b: int, q: int) -> tuple[int, int]:
+    """Interval Horner over [a, b] / q, over q^(len(coeffs) - 1)."""
+    lo = hi = 0
+    qk = 1
+    for c in reversed(coeffs):
+        cands = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi, qk = min(cands) + c * qk, max(cands) + c * qk, qk * q
+    return lo, hi
+
+
+def _horner_rect(coeffs, a: int, b: int, c: int, d: int,
+                 q: int) -> tuple[int, int, int, int]:
+    """Rectangle Horner over ([a, b] + i[c, d]) / q with `Rect.__mul__`'s
+    interval products: (re lo, re hi, im lo, im hi) over q^(len(coeffs) - 1)."""
     rlo = rhi = ilo = ihi = 0
     qk = 1
     for coef in reversed(coeffs):
@@ -451,20 +467,17 @@ def poly_eval_rect(coeffs, z: Rect) -> Rect:
         rlo, rhi = min(p) - max(s) + cq, max(p) - min(s) + cq
         ilo, ihi = min(t) + min(u), max(t) + max(u)
         qk *= q
-    return Rect(Interval(Fraction(rlo * q, qk), Fraction(rhi * q, qk)),
-                Interval(Fraction(ilo * q, qk), Fraction(ihi * q, qk)))
+    return rlo, rhi, ilo, ihi
 
 
-def poly_eval_interval(coeffs, x: Interval) -> Interval:
-    """Interval Horner, run on the integers q^k acc (q the common denominator
-    of x), so no gcd is taken and no big fractions are compared per step."""
-    q = lcm(x.lo.denominator, x.hi.denominator)
-    a, b = x.lo.numerator * (q // x.lo.denominator), x.hi.numerator * (q // x.hi.denominator)
-    lo, hi, qk = 0, 0, 1
+def _horner_point(coeffs, x: int, y: int, q: int) -> tuple[int, int]:
+    """Complex Horner at (x + iy) / q: (re, im) over q^(len(coeffs) - 1)."""
+    ar = ai = 0
+    qk = 1
     for c in reversed(coeffs):
-        cands = (lo * a, lo * b, hi * a, hi * b)
-        lo, hi, qk = min(cands) + c * qk, max(cands) + c * qk, qk * q
-    return Interval(Fraction(lo * q, qk), Fraction(hi * q, qk))
+        ar, ai = ar * x - ai * y + c * qk, ar * y + ai * x
+        qk *= q
+    return ar, ai
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,15 @@ def _strip(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(coeffs[:n])
 
 
+def _horner_int(coeffs: Sequence[int], p: int, q: int) -> int:
+    """q^d f(p/q), d = len(coeffs) - 1: Horner over the integers, with no
+    gcd per step."""
+    acc, qk = 0, 1
+    for c in reversed(coeffs):
+        acc, qk = acc * p + c * qk, qk * q
+    return acc
+
+
 class IntPolynomial:
     """Immutable dense polynomial over the integers."""
 
@@ -139,13 +148,9 @@ class IntPolynomial:
         return acc
 
     def sign_at(self, x: Fraction) -> int:
-        """Sign of f(p/q), read from the integer q^d f(p/q): Horner over
-        integers, with no gcd per step."""
-        p, q = x.numerator, x.denominator
-        acc, qk = 0, 1
-        for c in reversed(self.coeffs):
-            acc, qk = acc * p + c * qk, qk * q
-        return (acc > 0) - (acc < 0)
+        """Sign of f(p/q), read from the integer q^d f(p/q)."""
+        v = _horner_int(self.coeffs, x.numerator, x.denominator)
+        return (v > 0) - (v < 0)
 
     def sign_at_inf(self, positive: bool) -> int:
         """Sign of the polynomial at +inf or -inf."""

@@ -7,10 +7,13 @@ iteration from Newton-polygon starting points approximates every root, in
 Python floats at 53 bits and, only when those do not certify, in mpmath at
 twice the precision each time; one exact Weierstrass-disc test
 (`_certify_upper_half`) then certifies or refuses all the approximations
-together.  No certificate depends on floating point.  Refinement keeps
-interval Newton, with quadrisection certified by an exact Krawczyk test;
-the rectangle Horner under both runs on integers over a common
-denominator, with the same rational results as Fraction arithmetic.
+together.  No certificate depends on floating point.  Refinement is
+interval Newton, with quadrisection certified by an exact Krawczyk test.
+Both refiners run on integers: a box's corners become numerators over one
+common denominator D (a multiple of the refinement grid), every quantity
+of a step is an integer over a power of D, and Fractions are built only
+for the returned box, which holds the same rationals that Fraction
+interval arithmetic gives.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .intervals import (Interval, IntervalError, Rect, poly_eval_interval,
-                        poly_eval_rect, rect_inverse, sqrt_fraction_down,
-                        sqrt_fraction_up)
-from .polys import IntPolynomial, PolynomialError, count_real_roots, root_bound, sturm_chain
+from .intervals import (Interval, Rect, _horner_interval, _horner_point, _horner_rect,
+                        poly_eval_rect, sqrt_fraction_down, sqrt_fraction_up)
+from .polys import (IntPolynomial, PolynomialError, _horner_int, count_real_roots, root_bound,
+                    sturm_chain)
 
 
 class IsolationError(ArithmeticError):
@@ -141,51 +144,84 @@ def _grid_point(x: Fraction, bits: int) -> Fraction:
     return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
 
 
+def _round_out(lo: int, hi: int, k: int, g: int, a: int, b: int) -> tuple[int, int]:
+    """[lo, hi] / (k D) widened outward onto the grid of step g / D and met
+    with [a, b] / D; the result is over D."""
+    step = k * g
+    return max(lo // step * g, a), min(-(-hi // step) * g, b)
+
+
+def _imul(a0: int, a1: int, b0: int, b1: int) -> tuple[int, int]:
+    """[a0, a1] * [b0, b1], as `Interval.__mul__` forms it."""
+    p = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+    return min(p), max(p)
+
+
+def _sq(lo: int, hi: int) -> tuple[int, int]:
+    """[lo, hi]^2, as `Interval.pow_int(2)` forms it."""
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return 0, max(-lo, hi) ** 2
+
+
 def refine_real_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox:
-    """Shrink a certified real interval to width <= eps (same root)."""
+    """Shrink a certified real interval to width <= eps (same root).
+
+    The loop runs on integers: lo and hi are numerators L, H over
+    D = lcm(their denominators, 2^bits), so it compares exactly the
+    rationals of interval Newton in Fractions."""
     if eps <= 0:
         raise IsolationError("eps must be positive")
     lo, hi = box.re.lo, box.re.hi
     if lo == hi:
         return box
+    coeffs, n = f.coeffs, f.degree
     s_lo = f.sign_at(lo)
     if s_lo == 0:
         return RootBox(Interval(lo, lo))
+    pos = s_lo > 0  # the sign of f at lo, kept as the loop moves lo
     bits = _grid_bits(eps)
+    D = lcm(lo.denominator, hi.denominator, 1 << bits)
+    g = D >> bits  # one grid step, over D
+    L, H = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
     deriv = f.derivative().coeffs
-    while hi - lo > eps:
+    while (H - L) * eps.denominator > eps.numerator * D:
         # interval Newton step when the derivative has constant sign
-        d_iv = poly_eval_interval(deriv, Interval(lo, hi))
+        dlo, dhi = _horner_interval(deriv, L, H, D)  # f' over [lo, hi], over D^(n-1)
         stepped = False
-        if not d_iv.contains(0):
-            m = (lo + hi) / 2
-            fm = Fraction(f(m))
+        if dlo > 0 or dhi < 0:
+            M = L + H  # the midpoint m, over 2D
+            fm = _horner_int(coeffs, M, 2 * D)  # over (2D)^n
             if fm == 0:
-                return RootBox(Interval(m, m))
-            n_iv = Interval(m) - Interval(fm) / d_iv
-            nlo, nhi = max(n_iv.lo, lo), min(n_iv.hi, hi)
-            if nlo <= nhi and (nhi - nlo) <= (hi - lo) * Fraction(3, 4):
-                g = Interval(nlo, nhi).round_out(bits)
-                nlo, nhi = max(g.lo, lo), min(g.hi, hi)
-                s_nlo, s_nhi = f.sign_at(nlo), f.sign_at(nhi)
-                if s_nlo == 0:
-                    return RootBox(Interval(nlo, nlo))
-                if s_nhi == 0:
-                    return RootBox(Interval(nhi, nhi))
+                return RootBox(Interval(Fraction(M, 2 * D)))
+            # m - f(m)/d for d at both ends of f': over 2^n D dlo dhi = K D
+            P = dlo * dhi
+            base, K = M * P << (n - 1), P << n
+            e1, e2 = base - fm * dhi, base - fm * dlo
+            nlo, nhi = max(min(e1, e2), L * K), min(max(e1, e2), H * K)
+            if nlo <= nhi and 4 * (nhi - nlo) <= 3 * (H - L) * K:
+                nlo, nhi = _round_out(nlo, nhi, K, g, L, H)
+                v_lo, v_hi = _horner_int(coeffs, nlo, D), _horner_int(coeffs, nhi, D)
+                if v_lo == 0:
+                    return RootBox(Interval(Fraction(nlo, D)))
+                if v_hi == 0:
+                    return RootBox(Interval(Fraction(nhi, D)))
                 # keep the sign-change invariant
-                if s_nlo * s_nhi < 0:
-                    lo, hi, s_lo = nlo, nhi, s_nlo
+                if (v_lo > 0) != (v_hi > 0):
+                    L, H, pos = nlo, nhi, v_lo > 0
                     stepped = True
         if not stepped:
-            m = _grid_point((lo + hi) / 2, bits)
-            sm = f.sign_at(m)
-            if sm == 0:
-                return RootBox(Interval(m, m))
-            if sm == s_lo:
-                lo = m
+            m = (L + H) // (2 * g) * g  # the grid point at or below the midpoint
+            vm = _horner_int(coeffs, m, D)
+            if vm == 0:
+                return RootBox(Interval(Fraction(m, D)))
+            if (vm > 0) == pos:
+                L = m
             else:
-                hi = m
-    return RootBox(Interval(lo, hi))
+                H = m
+    return RootBox(Interval(Fraction(L, D), Fraction(H, D)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,54 +229,54 @@ def refine_real_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox:
 
 
 def _cpoly_eval(coeffs, zr: Fraction, zi: Fraction) -> tuple[Fraction, Fraction]:
-    """Complex Horner at a rational point, run on the integers q^k acc (q
-    the common denominator of zr and zi), as `poly_eval_rect` does."""
+    """Complex Horner at a rational point, on integers over the common
+    denominator of zr and zi."""
     q = lcm(zr.denominator, zi.denominator)
     a, b = zr.numerator * (q // zr.denominator), zi.numerator * (q // zi.denominator)
-    ar = ai = 0
-    qk = 1
-    for c in reversed(coeffs):
-        ar, ai = ar * a - ai * b + c * qk, ar * b + ai * a
-        qk *= q
-    return Fraction(ar * q, qk), Fraction(ai * q, qk)
+    ar, ai = _horner_point(coeffs, a, b, q)
+    s = q ** (len(coeffs) - 1)
+    return Fraction(ar, s), Fraction(ai, s)
 
 
-def _rect_meet(a: Rect, b: Rect) -> Rect:
-    """Componentwise intersection of two enclosures of the same set."""
-    try:
-        return Rect(a.re.intersect(b.re), a.im.intersect(b.im))
-    except IntervalError:
-        return a  # disagreement is rounding noise; either enclosure is valid
-
-
-def _derivative_enclosure(f: IntPolynomial, x: Rect, mid: Rect,
-                          mr: Fraction, mi: Fraction) -> Rect:
-    """Enclosure of f' over x: the mean-value form f'(m) + f''(x)(x - m)
-    intersected with raw Horner; the former kills the cancellation blowup
-    of big-coefficient polynomials."""
-    deriv = f.derivative()
-    raw = poly_eval_rect(deriv.coeffs, x)
-    if f.degree >= 2:
-        dr, di = _cpoly_eval(deriv.coeffs, mr, mi)
-        d2 = poly_eval_rect(deriv.derivative().coeffs, x)
-        taylor = Rect(Interval(dr), Interval(di)) + d2 * (x - mid)
-        return _rect_meet(taylor, raw)
-    return raw
+def _derivative_enclosure(deriv, deriv2, a: int, b: int, c: int, d: int,
+                          q: int) -> tuple[int, int, int, int]:
+    """Enclosure of f' over the box ([a, b] + i[c, d]) / q, over (2q)^(n-1)
+    (deriv, deriv2: the coefficients of f', f''): the mean-value form
+    f'(m) + f''(x)(x - m) intersected with raw Horner; the former kills the
+    cancellation blowup of big-coefficient polynomials.  Both enclose the
+    exact image of f', so they always meet."""
+    q2 = 2 * q
+    r0, r1, i0, i1 = _horner_rect(deriv, 2 * a, 2 * b, 2 * c, 2 * d, q2)
+    if len(deriv) < 2:
+        return r0, r1, i0, i1
+    dr, di = _horner_point(deriv, a + b, c + d, q2)
+    s0, s1, t0, t1 = _horner_rect(deriv2, 2 * a, 2 * b, 2 * c, 2 * d, q2)
+    # x - m is [-wr, wr] + i[-wi, wi] over 2q, so the product is symmetric
+    wr, wi = b - a, d - c
+    sm, tm = max(-s0, s1), max(-t0, t1)  # max |f''| over x, per part
+    hr, hi = sm * wr + tm * wi, sm * wi + tm * wr
+    return max(dr - hr, r0), min(dr + hr, r1), max(di - hi, i0), min(di + hi, i1)
 
 
 def krawczyk_passes(f: IntPolynomial, box: RootBox) -> bool:
     """Exact inclusion test: True certifies exactly one root of f in the box."""
-    deriv = f.derivative().coeffs
+    deriv = f.derivative()
     mr, mi = box.re.mid, box.im.mid
     fr, fi = _cpoly_eval(f.coeffs, mr, mi)
-    dr, di = _cpoly_eval(deriv, mr, mi)
+    dr, di = _cpoly_eval(deriv.coeffs, mr, mi)
     norm = dr * dr + di * di
     if norm == 0:
         return False
     cr, ci = dr / norm, -di / norm
     c = Rect(Interval(cr), Interval(ci))
     mid = Rect(Interval(mr), Interval(mi))
-    fp_x = _derivative_enclosure(f, box, mid, mr, mi)
+    corners = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
+    q = lcm(*(x.denominator for x in corners))
+    e = _derivative_enclosure(deriv.coeffs, deriv.derivative().coeffs,
+                              *(x.numerator * (q // x.denominator) for x in corners), q)
+    s = (2 * q) ** (f.degree - 1)
+    fp_x = Rect(Interval(Fraction(e[0], s), Fraction(e[1], s)),
+                Interval(Fraction(e[2], s), Fraction(e[3], s)))
     one_minus = Rect(Interval(1), Interval(0)) - c * fp_x
     k = mid - c * Rect(Interval(fr), Interval(fi)) + one_minus * (box - mid)
     return box.strictly_contains(k)
@@ -253,55 +289,94 @@ def _exclusion(f: IntPolynomial, rect: Rect) -> bool:
 
 _SPLIT_OFFSETS = (Fraction(1, 2), Fraction(17, 32), Fraction(15, 32),
                   Fraction(9, 16), Fraction(7, 16))
+_MAX_STEPS = 100000  # Newton steps and splits of one complex refinement
 
 
 def refine_complex_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox:
-    """Shrink a certified non-real box to width <= eps (same root)."""
+    """Shrink a certified non-real box to width <= eps (same root).
+
+    The Newton step runs on integers: the corners are numerators a, b, c, d
+    over D = lcm(their denominators, 2^bits), so it compares exactly the
+    rationals of rectangle Newton in Fractions."""
     if eps <= 0:
         raise IsolationError("eps must be positive")
     bits = _grid_bits(eps)
-    cur = box
-    guard = 0
-    while cur.width > eps:
-        guard += 1
-        if guard > 100000:
+    corners = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
+    D = lcm(1 << bits, *(x.denominator for x in corners))
+    g = D >> bits  # one grid step, over D
+    a, b, c, d = (x.numerator * (D // x.denominator) for x in corners)
+    deriv = f.derivative()
+    dc, d2c = deriv.coeffs, deriv.derivative().coeffs
+    steps = 0
+    while max(b - a, d - c) * eps.denominator > eps.numerator * D:
+        steps += 1
+        if steps > _MAX_STEPS:
             raise IsolationError("complex refinement stalled")
-        mr, mi = cur.mid()
-        d_iv = _derivative_enclosure(f, cur, Rect(Interval(mr), Interval(mi)), mr, mi)
+        r0, r1, i0, i1 = _derivative_enclosure(dc, d2c, a, b, c, d, D)  # over (2D)^(n-1)
         stepped = False
-        if not d_iv.contains_zero():
-            fr, fi = _cpoly_eval(f.coeffs, mr, mi)
-            n = Rect(Interval(mr), Interval(mi)) - \
-                Rect(Interval(fr), Interval(fi)) * rect_inverse(d_iv)
-            try:
-                nre = n.re.intersect(cur.re)
-                nim = n.im.intersect(cur.im)
-            except IntervalError:
+        if not (r0 <= 0 <= r1 and i0 <= 0 <= i1):
+            mr, mi = a + b, c + d  # the midpoint, over 2D
+            fr, fi = _horner_point(f.coeffs, mr, mi, 2 * D)  # over (2D)^n
+            # 1/f' = conj(f') / |f'|^2, |f'|^2 in [e0, e1] / (2D)^(2n-2), e0 > 0:
+            # its parts are vr, vi times (2D)^(n-1) / (e0 e1)
+            sr, si = _sq(r0, r1), _sq(i0, i1)
+            e0, e1 = sr[0] + si[0], sr[1] + si[1]
+            vr, vi = _imul(r0, r1, e0, e1), _imul(-i1, -i0, e0, e1)
+            # m - f(m)/f': over 2D e0 e1 = K D
+            E = e0 * e1
+            K = 2 * E
+            pr, pi = _imul(fr, fr, *vr), _imul(fi, fi, *vi)
+            qr, qi = _imul(fr, fr, *vi), _imul(fi, fi, *vr)
+            x0, x1 = max(mr * E - (pr[1] - pi[0]), a * K), min(mr * E - (pr[0] - pi[1]), b * K)
+            y0, y1 = max(mi * E - (qr[1] + qi[1]), c * K), min(mi * E - (qr[0] + qi[0]), d * K)
+            if x0 > x1 or y0 > y1:
                 raise IsolationError("Newton step lost the root (box not certified?)")
-            if max(nre.width, nim.width) <= cur.width * Fraction(3, 4):
-                nre = nre.round_out(bits).intersect(cur.re)
-                nim = nim.round_out(bits).intersect(cur.im)
-                cur = RootBox(nre, nim)
+            if 4 * max(x1 - x0, y1 - y0) <= 3 * max(b - a, d - c) * K:
+                a, b = _round_out(x0, x1, K, g, a, b)
+                c, d = _round_out(y0, y1, K, g, c, d)
                 stepped = True
         if not stepped:
-            cur = _quadrisect(f, cur, bits)
-    return cur
+            sub, steps = _quadrisect(f, _box(a, b, c, d, D), bits, steps)
+            a, b, c, d = (x.numerator * (D // x.denominator)
+                          for x in (sub.re.lo, sub.re.hi, sub.im.lo, sub.im.hi))
+    return _box(a, b, c, d, D)
 
 
-def _quadrisect(f: IntPolynomial, box: RootBox, bits: int) -> RootBox:
-    for off in _SPLIT_OFFSETS:
-        rs = _split_interval(box.re, off, bits)
-        ims = _split_interval(box.im, off, bits)
-        for r_part in rs:
-            for i_part in ims:
-                try:
-                    sub = RootBox(r_part, i_part)
-                except IsolationError:
-                    continue
-                if _exclusion(f, sub):
-                    continue
-                if krawczyk_passes(f, sub):
-                    return sub
+def _box(a: int, b: int, c: int, d: int, q: int) -> RootBox:
+    return RootBox(Interval(Fraction(a, q), Fraction(b, q)),
+                   Interval(Fraction(c, q), Fraction(d, q)))
+
+
+def _quadrisect(f: IntPolynomial, box: RootBox, bits: int,
+                steps: int) -> tuple[RootBox, int]:
+    """A sub-box of box certified by Krawczyk, from the first of the splits
+    at `_SPLIT_OFFSETS` that yields one, with `steps` counting the boxes
+    split.  When none does, the sub-boxes of the first off-centre split
+    that are not excluded are split in turn, breadth first: a root on the
+    centred cut, or a critical point near it, defeats one level."""
+    pending = [box]
+    while pending:
+        steps += 1
+        if steps > _MAX_STEPS:
+            raise IsolationError("complex refinement stalled")
+        box = pending.pop(0)
+        kept = []
+        for off in _SPLIT_OFFSETS:
+            rs = _split_interval(box.re, off, bits)
+            ims = _split_interval(box.im, off, bits)
+            for r_part in rs:
+                for i_part in ims:
+                    try:
+                        sub = RootBox(r_part, i_part)
+                    except IsolationError:
+                        continue
+                    if _exclusion(f, sub):
+                        continue
+                    if krawczyk_passes(f, sub):
+                        return sub, steps
+                    if off is _SPLIT_OFFSETS[1]:
+                        kept.append(sub)
+        pending += kept
     raise IsolationError("quadrisection failed to re-certify a sub-box")
 
 
@@ -517,7 +592,9 @@ def refine_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox:
     """Refine either kind of box; result is contained in the input box.
 
     Moved endpoints are rounded outward onto a dyadic grid about 2^-24 below
-    eps, so exact arithmetic never meets unbounded fractions."""
+    eps, so exact arithmetic never meets unbounded fractions; each step runs
+    on integer numerators over one common denominator of the box and the
+    grid."""
     if box.is_real:
         return refine_real_box(f, box, eps)
     return refine_complex_box(f, box, eps)

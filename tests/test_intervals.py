@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 import pytest
 
-from heightbounds.intervals import (Interval, IntervalError, Rect, decimal_lower,
-                                    decimal_midpoint, decimal_upper, exp_fraction,
-                                    ln_fraction, log_interval, poly_eval_rect,
+from heightbounds.intervals import (Interval, IntervalError, Rect, _horner_interval,
+                                    decimal_lower, decimal_midpoint, decimal_upper,
+                                    exp_fraction, ln_fraction, log_interval, poly_eval_rect,
                                     rect_inverse, sqrt_interval, xlogx_interval)
 
 
@@ -33,12 +34,6 @@ class TestIntervalOps:
     def test_division_by_zero_interval(self):
         with pytest.raises(IntervalError):
             Interval(1) / Interval(-1, 1)
-
-    def test_round_out_contains(self):
-        iv = Interval(Fraction(1, 3), Fraction(2, 3))
-        out = iv.round_out(16)
-        assert out.lo <= iv.lo and iv.hi <= out.hi
-        assert out.lo.denominator <= 1 << 16
 
     def test_pow_int(self):
         iv = Interval(Fraction(-2), Fraction(3))
@@ -157,6 +152,14 @@ def _fraction_rect_horner(coeffs, z: Rect) -> Rect:
     return acc
 
 
+def _fraction_interval_horner(coeffs, x: Interval) -> Interval:
+    """Reference: interval Horner in Fraction interval arithmetic."""
+    acc = Interval(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _fraction_point_horner(coeffs, zr: Fraction, zi: Fraction):
     """Reference: complex Horner at a point in Fractions."""
     ar, ai = Fraction(0), Fraction(0)
@@ -166,8 +169,9 @@ def _fraction_point_horner(coeffs, zr: Fraction, zi: Fraction):
 
 
 class TestIntegerHorner:
-    """`poly_eval_rect` and `roots._cpoly_eval` run on integers; they must
-    return exactly the rationals of Fraction Horner."""
+    """`poly_eval_rect`, `roots._cpoly_eval` and the interval core
+    `_horner_interval` run on integers; they must return exactly the
+    rationals of Fraction Horner."""
 
     @staticmethod
     def _endpoint(rng: random.Random) -> Fraction:
@@ -195,6 +199,12 @@ class TestIntegerHorner:
             assert poly_eval_rect(coeffs, z) == _fraction_rect_horner(coeffs, z)
             zr, zi = z.re.lo, z.im.hi
             assert _cpoly_eval(coeffs, zr, zi) == _fraction_point_horner(coeffs, zr, zi)
+            x = z.re
+            q = lcm(x.lo.denominator, x.hi.denominator)
+            lo, hi = _horner_interval(coeffs, x.lo.numerator * (q // x.lo.denominator),
+                                      x.hi.numerator * (q // x.hi.denominator), q)
+            s = q ** (len(coeffs) - 1)
+            assert Interval(Fraction(lo, s), Fraction(hi, s)) == _fraction_interval_horner(coeffs, x)
 
 
 class TestDecimal:

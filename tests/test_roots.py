@@ -5,11 +5,12 @@ import mpmath
 import pytest
 from mpmath.libmp import to_rational
 
-from heightbounds.intervals import Interval
+from heightbounds.intervals import Interval, IntervalError, Rect, rect_inverse
 from heightbounds.polys import IntPolynomial, count_real_roots, parse_polynomial, squarefree_part
 from heightbounds.roots import (IsolationError, RootBox, _aberth_seeds, _certify_upper_half,
-                                isolate_real_roots, isolate_roots, krawczyk_passes,
-                                refine_box, refine_complex_box, refine_real_box)
+                                _grid_bits, _round_out, isolate_real_roots, isolate_roots,
+                                krawczyk_passes, refine_box, refine_complex_box,
+                                refine_real_box)
 
 from conftest import LEHMER_TEXT, run_with_deadline
 
@@ -90,6 +91,259 @@ class TestRefinement:
             for x in (box.re.lo, box.re.hi, box.im.lo, box.im.hi):
                 d = x.denominator
                 assert d & (d - 1) == 0 and d <= 2**25 / eps
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference: both refiners as they were written in Fraction interval
+# arithmetic, before their loops moved to integers.  The integer refiners
+# must return the same endpoints wherever this returns.
+
+
+def _ref_sign(f, x):
+    v = f(x)
+    return (v > 0) - (v < 0)
+
+
+def _ref_interval_horner(coeffs, x: Interval) -> Interval:
+    acc = Interval(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_rect_horner(coeffs, z: Rect) -> Rect:
+    acc = Rect(Interval(0), Interval(0))
+    for c in reversed(coeffs):
+        acc = acc * z + Rect(Interval(c), Interval(0))
+    return acc
+
+
+def _ref_point_horner(coeffs, zr, zi):
+    ar, ai = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr
+    return ar, ai
+
+
+def _ref_round_out(iv: Interval, bits: int) -> Interval:
+    scale = 1 << bits
+    return Interval(Fraction(iv.lo.numerator * scale // iv.lo.denominator, scale),
+                    Fraction(-(-iv.hi.numerator * scale // iv.hi.denominator), scale))
+
+
+def _ref_grid_point(x: Fraction, bits: int) -> Fraction:
+    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
+
+
+def _ref_refine_real(f, box, eps):
+    lo, hi = box.re.lo, box.re.hi
+    if lo == hi:
+        return box
+    s_lo = _ref_sign(f, lo)
+    if s_lo == 0:
+        return RootBox(Interval(lo, lo))
+    bits = _grid_bits(eps)
+    deriv = f.derivative().coeffs
+    while hi - lo > eps:
+        d_iv = _ref_interval_horner(deriv, Interval(lo, hi))
+        stepped = False
+        if not d_iv.contains(0):
+            m = (lo + hi) / 2
+            fm = Fraction(f(m))
+            if fm == 0:
+                return RootBox(Interval(m, m))
+            n_iv = Interval(m) - Interval(fm) / d_iv
+            nlo, nhi = max(n_iv.lo, lo), min(n_iv.hi, hi)
+            if nlo <= nhi and (nhi - nlo) <= (hi - lo) * Fraction(3, 4):
+                g = _ref_round_out(Interval(nlo, nhi), bits)
+                nlo, nhi = max(g.lo, lo), min(g.hi, hi)
+                s_nlo, s_nhi = _ref_sign(f, nlo), _ref_sign(f, nhi)
+                if s_nlo == 0:
+                    return RootBox(Interval(nlo, nlo))
+                if s_nhi == 0:
+                    return RootBox(Interval(nhi, nhi))
+                if s_nlo * s_nhi < 0:
+                    lo, hi, s_lo = nlo, nhi, s_nlo
+                    stepped = True
+        if not stepped:
+            m = _ref_grid_point((lo + hi) / 2, bits)
+            sm = _ref_sign(f, m)
+            if sm == 0:
+                return RootBox(Interval(m, m))
+            if sm == s_lo:
+                lo = m
+            else:
+                hi = m
+    return RootBox(Interval(lo, hi))
+
+
+def _ref_derivative_enclosure(f, x: Rect) -> Rect:
+    deriv = f.derivative()
+    raw = _ref_rect_horner(deriv.coeffs, x)
+    if f.degree < 2:
+        return raw
+    mr, mi = x.mid()
+    dr, di = _ref_point_horner(deriv.coeffs, mr, mi)
+    d2 = _ref_rect_horner(deriv.derivative().coeffs, x)
+    taylor = Rect(Interval(dr), Interval(di)) + d2 * (x - Rect(Interval(mr), Interval(mi)))
+    try:
+        return Rect(taylor.re.intersect(raw.re), taylor.im.intersect(raw.im))
+    except IntervalError:
+        return taylor
+
+
+def _ref_krawczyk(f, box):
+    mr, mi = box.mid()
+    fr, fi = _ref_point_horner(f.coeffs, mr, mi)
+    dr, di = _ref_point_horner(f.derivative().coeffs, mr, mi)
+    norm = dr * dr + di * di
+    if norm == 0:
+        return False
+    c = Rect(Interval(dr / norm), Interval(-di / norm))
+    mid = Rect(Interval(mr), Interval(mi))
+    one_minus = Rect(Interval(1), Interval(0)) - c * _ref_derivative_enclosure(f, box)
+    k = mid - c * Rect(Interval(fr), Interval(fi)) + one_minus * (box - mid)
+    return box.strictly_contains(k)
+
+
+def _ref_quadrisect(f, box, bits):
+    for off in (Fraction(1, 2), Fraction(17, 32), Fraction(15, 32),
+                Fraction(9, 16), Fraction(7, 16)):
+        cuts = [max(iv.lo, _ref_grid_point(iv.lo + (iv.hi - iv.lo) * off, bits))
+                for iv in (box.re, box.im)]
+        for r_part in (Interval(box.re.lo, cuts[0]), Interval(cuts[0], box.re.hi)):
+            for i_part in (Interval(box.im.lo, cuts[1]), Interval(cuts[1], box.im.hi)):
+                sub = RootBox(r_part, i_part)
+                if not _ref_rect_horner(f.coeffs, sub).contains_zero():
+                    continue
+                if _ref_krawczyk(f, sub):
+                    return sub
+    raise IsolationError("quadrisection failed to re-certify a sub-box")
+
+
+def _ref_refine_complex(f, box, eps):
+    bits = _grid_bits(eps)
+    cur = box
+    while cur.width > eps:
+        mr, mi = cur.mid()
+        d_iv = _ref_derivative_enclosure(f, cur)
+        stepped = False
+        if not d_iv.contains_zero():
+            fr, fi = _ref_point_horner(f.coeffs, mr, mi)
+            n = Rect(Interval(mr), Interval(mi)) - \
+                Rect(Interval(fr), Interval(fi)) * rect_inverse(d_iv)
+            nre, nim = n.re.intersect(cur.re), n.im.intersect(cur.im)
+            if max(nre.width, nim.width) <= cur.width * Fraction(3, 4):
+                cur = RootBox(_ref_round_out(nre, bits).intersect(cur.re),
+                              _ref_round_out(nim, bits).intersect(cur.im))
+                stepped = True
+        if not stepped:
+            cur = _ref_quadrisect(f, cur, bits)
+    return cur
+
+
+def _corners(box):
+    return box.re.lo, box.re.hi, box.im.lo, box.im.hi
+
+
+class TestIntegerRefinement:
+    """Both refiners run on integers over one common denominator; they must
+    return the frozen Fraction reference's boxes, endpoint for endpoint."""
+
+    # coarse widths stop after a step or two, before every path has
+    # converged onto the same grid cells
+    EPS = ([Fraction(1, 1 << k) for k in (16, 40, 64, 128, 256)]
+           + [Fraction(1, 10**12), Fraction(1, 4), Fraction(2, 7)])
+
+    def _check(self, f, box, eps):
+        got = refine_box(f, box, eps)
+        ref = (_ref_refine_real if box.is_real else _ref_refine_complex)(f, box, eps)
+        assert _corners(got) == _corners(ref) and got.is_real == ref.is_real
+        assert got.width <= eps
+        return got
+
+    def test_random_isolating_boxes(self):
+        rng = random.Random(20161011)
+        done = 0
+        while done < 14:
+            cs = [rng.randint(-30, 30) for _ in range(rng.randint(2, 12))] + [rng.randint(1, 30)]
+            f = squarefree_part(IntPolynomial(cs))
+            if f.degree < 2:
+                continue
+            done += 1
+            boxes = isolate_roots(f)
+            for box in boxes:
+                if box.is_real or box.im.lo > 0:
+                    self._check(f, box, rng.choice(self.EPS))
+
+    def test_non_dyadic_real_endpoints(self):
+        # root_bound is 1 + m/lead, so the outer isolating boxes have
+        # non-dyadic endpoints; so does a box given by hand
+        f = P("3*x^3-7*x-5")
+        outer = isolate_real_roots(f)
+        assert any(x.denominator & (x.denominator - 1) for b in outer for x in (b.re.lo, b.re.hi))
+        for eps in self.EPS:
+            for box in outer:
+                self._check(f, box, eps)
+            # wide hand-made boxes: weak derivative bounds, a critical point
+            self._check(P("x^2-2"), RootBox(Interval(Fraction(1, 3), Fraction(17, 3))), eps)
+            self._check(P("x^3-x-1"), RootBox(Interval(Fraction(1, 3), Fraction(7, 3))), eps)
+            self._check(P("x^2+1"), RootBox(Interval(Fraction(-1, 3), Fraction(1, 5)),
+                                            Interval(Fraction(2, 3), Fraction(9, 7))), eps)
+
+    def test_complex_seeds_finer_than_grid(self):
+        # roots near 10^-20: the 53-bit seeds have denominators near 2^120,
+        # finer than the 2^-48 grid of eps = 2^-16
+        for f in (IntPolynomial([1, 0, 10**40]), IntPolynomial([2, 2 * 10**20, 10**40]),
+                  IntPolynomial([1, 0, 10**40]) * P("x^2+x+1")):
+            for box in isolate_roots(f):
+                if not box.is_real and box.im.lo > 0:
+                    grid = 1 << _grid_bits(self.EPS[0])
+                    assert max(x.denominator for x in _corners(box)) > grid
+                    for eps in self.EPS:
+                        self._check(f, box, eps)
+
+    def test_rational_roots_on_grid(self):
+        # a root at the midpoint, at a bisection point or at a Newton
+        # endpoint ends refinement with a point box
+        f = P("8*x-3") * P("2*x-1") * P("x^2-3")
+        cases = [(f, Fraction(1, 3), Fraction(5, 12)),  # f(m) = 0
+                 (f, Fraction(5, 16), Fraction(7, 16)),  # f' holds 0; bisection meets 3/8
+                 (P("8*x-3"), Fraction(0), Fraction(1)),  # Newton lands on 3/8
+                 (P("8*x-3"), Fraction(1, 4), Fraction(5, 12))]
+        for g, lo, hi in cases:
+            for eps in self.EPS[:6]:
+                assert self._check(g, RootBox(Interval(lo, hi)), eps).re.width == 0
+
+    def test_quadrisection_descends(self):
+        # the box holds i and the critical point i sqrt(5/2) of
+        # (x^2+1)(x^2+4), so the Newton test fails; i sits on the centred
+        # cut re = 0 and no sub-box of one split certifies
+        f = P("x^4+5*x^2+4")
+        box = RootBox(Interval(Fraction(-1, 2), Fraction(1, 2)),
+                      Interval(Fraction(1, 2), Fraction(17, 10)))
+        with pytest.raises(IsolationError):
+            _ref_refine_complex(f, box, Fraction(1, 1 << 64))
+        got = refine_complex_box(f, box, Fraction(1, 1 << 64))
+        assert got.width <= Fraction(1, 1 << 64)
+        assert got.re.contains(0) and got.im.contains(1)
+        assert box.contains_rect(got)
+
+    def test_round_out_contains(self):
+        # [lo, hi] / (k D) widened onto the grid of step g / D, then met
+        # with [a, b] / D
+        rng = random.Random(5)
+        for _ in range(200):
+            g, k = rng.randint(1, 50), rng.randint(1, 10**6)
+            a = rng.randint(-10**9, 10**9)
+            b = a + rng.randint(0, 10**9)
+            lo = rng.randint(a * k, b * k)
+            hi = rng.randint(lo, b * k)
+            nlo, nhi = _round_out(lo, hi, k, g, a, b)
+            assert a <= nlo and nhi <= b
+            assert Fraction(nlo) <= Fraction(lo, k) and Fraction(hi, k) <= Fraction(nhi)
+            assert nlo == a or (nlo % g == 0 and Fraction(lo, k) - nlo < g)
+            assert nhi == b or (nhi % g == 0 and nhi - Fraction(hi, k) < g)
 
 
 class TestComplexIsolation:
