@@ -278,14 +278,15 @@ class TestIntegerRefinement:
 
     def test_non_dyadic_real_endpoints(self):
         # root_bound is 1 + m/lead, so the outer isolating boxes have
-        # non-dyadic endpoints; so does a box given by hand
+        # non-dyadic endpoints
         f = P("3*x^3-7*x-5")
         outer = isolate_real_roots(f)
         assert any(x.denominator & (x.denominator - 1) for b in outer for x in (b.re.lo, b.re.hi))
         for eps in self.EPS:
             for box in outer:
                 self._check(f, box, eps)
-            # wide hand-made boxes: weak derivative bounds, a critical point
+            # wide boxes with non-dyadic corners: weak derivative bounds, a
+            # critical point, a complex box
             self._check(P("x^2-2"), RootBox(Interval(Fraction(1, 3), Fraction(17, 3))), eps)
             self._check(P("x^3-x-1"), RootBox(Interval(Fraction(1, 3), Fraction(7, 3))), eps)
             self._check(P("x^2+1"), RootBox(Interval(Fraction(-1, 3), Fraction(1, 5)),
@@ -316,18 +317,21 @@ class TestIntegerRefinement:
                 assert self._check(g, RootBox(Interval(lo, hi)), eps).re.width == 0
 
     def test_quadrisection_descends(self):
-        # the box holds i and the critical point i sqrt(5/2) of
-        # (x^2+1)(x^2+4), so the Newton test fails; i sits on the centred
-        # cut re = 0 and no sub-box of one split certifies
-        f = P("x^4+5*x^2+4")
-        box = RootBox(Interval(Fraction(-1, 2), Fraction(1, 2)),
-                      Interval(Fraction(1, 2), Fraction(17, 10)))
-        with pytest.raises(IsolationError):
-            _ref_refine_complex(f, box, Fraction(1, 1 << 64))
-        got = refine_complex_box(f, box, Fraction(1, 1 << 64))
-        assert got.width <= Fraction(1, 1 << 64)
-        assert got.re.contains(0) and got.im.contains(1)
-        assert box.contains_rect(got)
+        # each box holds the root i alone, and no sub-box of one split
+        # certifies.  The first also holds the critical point i sqrt(5/2)
+        # of (x^2+1)(x^2+4), so the Newton test fails, and i sits on the
+        # centred cut re = 0
+        cases = [(P("x^4+5*x^2+4"), RootBox(Interval(Fraction(-1, 2), Fraction(1, 2)),
+                                            Interval(Fraction(1, 2), Fraction(17, 10)))),
+                 (P("x^2+1"), RootBox(Interval(Fraction(-2, 3), Fraction(1, 5)),
+                                      Interval(Fraction(1, 7), Fraction(9, 5))))]
+        for f, box in cases:
+            with pytest.raises(IsolationError):
+                _ref_refine_complex(f, box, Fraction(1, 1 << 64))
+            got = refine_complex_box(f, box, Fraction(1, 1 << 64))
+            assert got.width <= Fraction(1, 1 << 64)
+            assert got.re.contains(0) and got.im.contains(1)
+            assert box.contains_rect(got)
 
     def test_round_out_contains(self):
         # [lo, hi] / (k D) widened onto the grid of step g / D, then met
