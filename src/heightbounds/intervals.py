@@ -54,9 +54,6 @@ class Interval:
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def strictly_contains(self, other: "Interval") -> bool:
-        return self.lo < other.lo and other.hi < self.hi
-
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -391,9 +388,6 @@ class Rect:
 
     def contains_rect(self, other: "Rect") -> bool:
         return self.re.contains_interval(other.re) and self.im.contains_interval(other.im)
-
-    def strictly_contains(self, other: "Rect") -> bool:
-        return self.re.strictly_contains(other.re) and self.im.strictly_contains(other.im)
 
     def intersects(self, other: "Rect") -> bool:
         return self.re.intersects(other.re) and self.im.intersects(other.im)

@@ -8,7 +8,9 @@ Python floats at 53 bits and, only when those do not certify, in mpmath at
 twice the precision each time; one exact Weierstrass-disc test
 (`_certify_upper_half`) then certifies or refuses all the approximations
 together.  No certificate depends on floating point.  Refinement is
-interval Newton, with quadrisection certified by an exact Krawczyk test.
+interval Newton; where a complex Newton step does not contract, the box is
+cut into quarters and the ones that interval evaluation excludes are
+dropped, which needs no new certificate, as the box holds one root alone.
 Both refiners run on integers: a box's corners become numerators over one
 common denominator D (a multiple of the refinement grid), every quantity
 of a step is an integer over a power of D, and Fractions are built only
@@ -22,7 +24,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .intervals import (Interval, Rect, _horner_interval, _horner_point, _horner_rect,
-                        poly_eval_rect, sqrt_fraction_down, sqrt_fraction_up)
+                        sqrt_fraction_down, sqrt_fraction_up)
 from .polys import (IntPolynomial, PolynomialError, _horner_int, count_real_roots, root_bound,
                     sturm_chain)
 
@@ -139,11 +141,6 @@ def _grid_bits(eps: Fraction) -> int:
     return max(16, eps.denominator.bit_length() - eps.numerator.bit_length() + 8) + 16
 
 
-def _grid_point(x: Fraction, bits: int) -> Fraction:
-    """The grid point at or just below x."""
-    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
-
-
 def _round_out(lo: int, hi: int, k: int, g: int, a: int, b: int) -> tuple[int, int]:
     """[lo, hi] / (k D) widened outward onto the grid of step g / D and met
     with [a, b] / D; the result is over D."""
@@ -225,26 +222,17 @@ def refine_real_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox:
 
 
 # ---------------------------------------------------------------------------
-# complex certification (exact Krawczyk operator)
-
-
-def _cpoly_eval(coeffs, zr: Fraction, zi: Fraction) -> tuple[Fraction, Fraction]:
-    """Complex Horner at a rational point, on integers over the common
-    denominator of zr and zi."""
-    q = lcm(zr.denominator, zi.denominator)
-    a, b = zr.numerator * (q // zr.denominator), zi.numerator * (q // zi.denominator)
-    ar, ai = _horner_point(coeffs, a, b, q)
-    s = q ** (len(coeffs) - 1)
-    return Fraction(ar, s), Fraction(ai, s)
+# complex refinement (interval Newton, subdivision by exclusion)
 
 
 def _derivative_enclosure(deriv, deriv2, a: int, b: int, c: int, d: int,
                           q: int) -> tuple[int, int, int, int]:
     """Enclosure of f' over the box ([a, b] + i[c, d]) / q, over (2q)^(n-1)
-    (deriv, deriv2: the coefficients of f', f''): the mean-value form
-    f'(m) + f''(x)(x - m) intersected with raw Horner; the former kills the
-    cancellation blowup of big-coefficient polynomials.  Both enclose the
-    exact image of f', so they always meet."""
+    (deriv, deriv2: the coefficients of f', f''), for the Newton step of
+    `refine_complex_box`: the mean-value form f'(m) + f''(x)(x - m)
+    intersected with raw Horner; the former kills the cancellation blowup
+    of big-coefficient polynomials.  Both enclose the exact image of f', so
+    they always meet."""
     q2 = 2 * q
     r0, r1, i0, i1 = _horner_rect(deriv, 2 * a, 2 * b, 2 * c, 2 * d, q2)
     if len(deriv) < 2:
@@ -258,46 +246,16 @@ def _derivative_enclosure(deriv, deriv2, a: int, b: int, c: int, d: int,
     return max(dr - hr, r0), min(dr + hr, r1), max(di - hi, i0), min(di + hi, i1)
 
 
-def krawczyk_passes(f: IntPolynomial, box: RootBox) -> bool:
-    """Exact inclusion test: True certifies exactly one root of f in the box."""
-    deriv = f.derivative()
-    mr, mi = box.re.mid, box.im.mid
-    fr, fi = _cpoly_eval(f.coeffs, mr, mi)
-    dr, di = _cpoly_eval(deriv.coeffs, mr, mi)
-    norm = dr * dr + di * di
-    if norm == 0:
-        return False
-    cr, ci = dr / norm, -di / norm
-    c = Rect(Interval(cr), Interval(ci))
-    mid = Rect(Interval(mr), Interval(mi))
-    corners = (box.re.lo, box.re.hi, box.im.lo, box.im.hi)
-    q = lcm(*(x.denominator for x in corners))
-    e = _derivative_enclosure(deriv.coeffs, deriv.derivative().coeffs,
-                              *(x.numerator * (q // x.denominator) for x in corners), q)
-    s = (2 * q) ** (f.degree - 1)
-    fp_x = Rect(Interval(Fraction(e[0], s), Fraction(e[1], s)),
-                Interval(Fraction(e[2], s), Fraction(e[3], s)))
-    one_minus = Rect(Interval(1), Interval(0)) - c * fp_x
-    k = mid - c * Rect(Interval(fr), Interval(fi)) + one_minus * (box - mid)
-    return box.strictly_contains(k)
-
-
-def _exclusion(f: IntPolynomial, rect: Rect) -> bool:
-    """True when the interval evaluation certifies there is no root in rect."""
-    return not poly_eval_rect(f.coeffs, rect).contains_zero()
-
-
-_SPLIT_OFFSETS = (Fraction(1, 2), Fraction(17, 32), Fraction(15, 32),
-                  Fraction(9, 16), Fraction(7, 16))
-_MAX_STEPS = 100000  # Newton steps and splits of one complex refinement
+_MAX_STEPS = 100000  # Newton steps and boxes cut in one complex refinement
 
 
 def refine_complex_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox:
     """Shrink a certified non-real box to width <= eps (same root).
 
-    The Newton step runs on integers: the corners are numerators a, b, c, d
-    over D = lcm(their denominators, 2^bits), so it compares exactly the
-    rationals of rectangle Newton in Fractions."""
+    The loop runs on integers: the corners are numerators a, b, c, d over
+    D = lcm(their denominators, 2^bits), so a Newton step compares exactly
+    the rationals of rectangle Newton in Fractions.  Where the Newton test
+    fails or a step does not contract by 3/4, `_subdivide` shrinks the box."""
     if eps <= 0:
         raise IsolationError("eps must be positive")
     bits = _grid_bits(eps)
@@ -336,53 +294,39 @@ def refine_complex_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox
                 c, d = _round_out(y0, y1, K, g, c, d)
                 stepped = True
         if not stepped:
-            sub, steps = _quadrisect(f, _box(a, b, c, d, D), bits, steps)
-            a, b, c, d = (x.numerator * (D // x.denominator)
-                          for x in (sub.re.lo, sub.re.hi, sub.im.lo, sub.im.hi))
-    return _box(a, b, c, d, D)
+            a, b, c, d, steps = _subdivide(f.coeffs, a, b, c, d, D, g, steps)
+    return RootBox(Interval(Fraction(a, D), Fraction(b, D)),
+                   Interval(Fraction(c, D), Fraction(d, D)))
 
 
-def _box(a: int, b: int, c: int, d: int, q: int) -> RootBox:
-    return RootBox(Interval(Fraction(a, q), Fraction(b, q)),
-                   Interval(Fraction(c, q), Fraction(d, q)))
-
-
-def _quadrisect(f: IntPolynomial, box: RootBox, bits: int,
-                steps: int) -> tuple[RootBox, int]:
-    """A sub-box of box certified by Krawczyk, from the first of the splits
-    at `_SPLIT_OFFSETS` that yields one, with `steps` counting the boxes
-    split.  When none does, the sub-boxes of the first off-centre split
-    that are not excluded are split in turn, breadth first: a root on the
-    centred cut, or a critical point near it, defeats one level."""
-    pending = [box]
-    while pending:
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise IsolationError("complex refinement stalled")
-        box = pending.pop(0)
+def _subdivide(coeffs, a: int, b: int, c: int, d: int, q: int, g: int,
+               steps: int) -> tuple[int, int, int, int, int]:
+    """Cut the box ([a, b] + i[c, d]) / q, which holds exactly one root,
+    into quarters at grid points (step g, over q), drop each quarter whose
+    rectangle Horner enclosure excludes 0, and cut the quarters left again
+    until their bounding box is at most 3/4 as wide.  That box lies in the
+    input box and covers every place the root can be, so it holds the root
+    alone and needs no new certificate.  `steps` counts the boxes cut."""
+    width = max(b - a, d - c)
+    boxes = [(a, b, c, d)]
+    while 4 * max(b - a, d - c) > 3 * width:
         kept = []
-        for off in _SPLIT_OFFSETS:
-            rs = _split_interval(box.re, off, bits)
-            ims = _split_interval(box.im, off, bits)
-            for r_part in rs:
-                for i_part in ims:
-                    try:
-                        sub = RootBox(r_part, i_part)
-                    except IsolationError:
-                        continue
-                    if _exclusion(f, sub):
-                        continue
-                    if krawczyk_passes(f, sub):
-                        return sub, steps
-                    if off is _SPLIT_OFFSETS[1]:
-                        kept.append(sub)
-        pending += kept
-    raise IsolationError("quadrisection failed to re-certify a sub-box")
-
-
-def _split_interval(iv: Interval, off: Fraction, bits: int) -> tuple[Interval, Interval]:
-    cut = max(iv.lo, _grid_point(iv.lo + (iv.hi - iv.lo) * off, bits))
-    return Interval(iv.lo, cut), Interval(cut, iv.hi)
+        for a0, b0, c0, d0 in boxes:
+            steps += 1
+            if steps > _MAX_STEPS:
+                raise IsolationError("complex refinement stalled")
+            x, y = (a0 + b0) // (2 * g) * g, (c0 + d0) // (2 * g) * g
+            for re in ((a0, x), (x, b0)) if a0 < x else ((a0, b0),):
+                for im in ((c0, y), (y, d0)) if c0 < y else ((c0, d0),):
+                    r0, r1, i0, i1 = _horner_rect(coeffs, *re, *im, q)
+                    if r0 <= 0 <= r1 and i0 <= 0 <= i1:
+                        kept.append(re + im)
+        if not kept:
+            raise IsolationError("subdivision lost the root (box not certified?)")
+        boxes = kept
+        a, b = min(k[0] for k in kept), max(k[1] for k in kept)
+        c, d = min(k[2] for k in kept), max(k[3] for k in kept)
+    return a, b, c, d, steps
 
 
 # ---------------------------------------------------------------------------
@@ -561,17 +505,16 @@ def _certify_upper_half(f: IntPolynomial, seeds, n_real: int) -> list[RootBox] |
            for x, y in seeds]
     # |z_i - z_j|^2 q^2, exact
     d2 = [[(a - c) ** 2 + (b - d) ** 2 for c, d in pts] for a, b in pts]
-    scale = n * n * q ** (2 * (n - 1))
     radii = []
-    for i, (x, y) in enumerate(seeds):
+    for i, (x, y) in enumerate(pts):
         prod = f.coeffs[-1] ** 2
         for j in range(n):
             if j != i:
                 prod *= d2[i][j]
         if prod == 0:
             return None  # two seeds coincide
-        fr, fi = _cpoly_eval(f.coeffs, x, y)
-        w2 = (fr * fr + fi * fi) * scale / prod  # (n |W_i|)^2
+        fr, fi = _horner_point(f.coeffs, x, y, q)  # f(z_i), over q^n
+        w2 = Fraction(n * n * (fr * fr + fi * fi), q * q * prod)  # (n |W_i|)^2
         # a seed that is a root gets a disc far inside the seeds' grid
         radii.append(_dyadic_sqrt_up(w2) if w2 else Fraction(1, 1 << q.bit_length() + 8))
     # the comparisons run on integers over the common denominator big_q
@@ -591,10 +534,10 @@ def _certify_upper_half(f: IntPolynomial, seeds, n_real: int) -> list[RootBox] |
 def refine_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox:
     """Refine either kind of box; result is contained in the input box.
 
-    Moved endpoints are rounded outward onto a dyadic grid about 2^-24 below
-    eps, so exact arithmetic never meets unbounded fractions; each step runs
-    on integer numerators over one common denominator of the box and the
-    grid."""
+    Moved endpoints (Newton's, rounded outward, and the cuts of complex
+    subdivision) lie on a dyadic grid about 2^-24 below eps, so exact
+    arithmetic never meets unbounded fractions; each step runs on integer
+    numerators over one common denominator of the box and the grid."""
     if box.is_real:
         return refine_real_box(f, box, eps)
     return refine_complex_box(f, box, eps)

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from heightbounds.intervals import (Interval, IntervalError, Rect, _horner_interval,
-                                    decimal_lower, decimal_midpoint, decimal_upper,
+                                    _horner_point, decimal_lower, decimal_midpoint, decimal_upper,
                                     exp_fraction, ln_fraction, log_interval, poly_eval_rect,
                                     rect_inverse, sqrt_interval, xlogx_interval)
 
@@ -169,8 +169,8 @@ def _fraction_point_horner(coeffs, zr: Fraction, zi: Fraction):
 
 
 class TestIntegerHorner:
-    """`poly_eval_rect`, `roots._cpoly_eval` and the interval core
-    `_horner_interval` run on integers; they must return exactly the
+    """`poly_eval_rect` and the point and interval cores `_horner_point`
+    and `_horner_interval` run on integers; they must return exactly the
     rationals of Fraction Horner."""
 
     @staticmethod
@@ -189,7 +189,6 @@ class TestIntegerHorner:
         return Interval(min(a, b), max(a, b))
 
     def test_equals_fraction_reference(self):
-        from heightbounds.roots import _cpoly_eval
         rng = random.Random(20170801)
         for _ in range(5000):
             coeffs = [rng.randint(-(1 << 64), 1 << 64) for _ in range(rng.randint(1, 13))]
@@ -198,7 +197,11 @@ class TestIntegerHorner:
             z = Rect(self._interval(rng, re_kind), self._interval(rng, im_kind))
             assert poly_eval_rect(coeffs, z) == _fraction_rect_horner(coeffs, z)
             zr, zi = z.re.lo, z.im.hi
-            assert _cpoly_eval(coeffs, zr, zi) == _fraction_point_horner(coeffs, zr, zi)
+            q = lcm(zr.denominator, zi.denominator)
+            ar, ai = _horner_point(coeffs, zr.numerator * (q // zr.denominator),
+                                   zi.numerator * (q // zi.denominator), q)
+            s = q ** (len(coeffs) - 1)
+            assert (Fraction(ar, s), Fraction(ai, s)) == _fraction_point_horner(coeffs, zr, zi)
             x = z.re
             q = lcm(x.lo.denominator, x.hi.denominator)
             lo, hi = _horner_interval(coeffs, x.lo.numerator * (q // x.lo.denominator),

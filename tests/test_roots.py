@@ -8,9 +8,8 @@ from mpmath.libmp import to_rational
 from heightbounds.intervals import Interval, IntervalError, Rect, rect_inverse
 from heightbounds.polys import IntPolynomial, count_real_roots, parse_polynomial, squarefree_part
 from heightbounds.roots import (IsolationError, RootBox, _aberth_seeds, _certify_upper_half,
-                                _grid_bits, _round_out, isolate_real_roots, isolate_roots,
-                                krawczyk_passes, refine_box, refine_complex_box,
-                                refine_real_box)
+                                _grid_bits, _round_out, _subdivide, isolate_real_roots,
+                                isolate_roots, refine_box, refine_complex_box, refine_real_box)
 
 from conftest import LEHMER_TEXT, run_with_deadline
 
@@ -36,6 +35,11 @@ class TestRealIsolation:
             assert len(boxes) == count_real_roots(f)
             for i in range(len(boxes) - 1):
                 assert boxes[i].re.hi < boxes[i + 1].re.lo
+            for b in boxes:
+                if b.re.width == 0:
+                    assert f.sign_at(b.re.lo) == 0
+                else:
+                    assert count_real_roots(f, b.re.lo, b.re.hi) == 1
 
     def test_rational_root_point_box(self):
         # the rational root 1/2 sits exactly on no dyadic midpoint issue
@@ -84,7 +88,6 @@ class TestRefinement:
         g = P("x^2+1")
         start = RootBox(Interval(Fraction(-1, 8), Fraction(1, 4)),
                         Interval(Fraction(7, 8), Fraction(5, 4)))
-        assert krawczyk_passes(g, start)
         cplx = refine_complex_box(g, start, eps)
         for box in (real, cplx):
             assert box.width <= eps
@@ -203,7 +206,8 @@ def _ref_krawczyk(f, box):
     mid = Rect(Interval(mr), Interval(mi))
     one_minus = Rect(Interval(1), Interval(0)) - c * _ref_derivative_enclosure(f, box)
     k = mid - c * Rect(Interval(fr), Interval(fi)) + one_minus * (box - mid)
-    return box.strictly_contains(k)
+    return (box.re.lo < k.re.lo and k.re.hi < box.re.hi
+            and box.im.lo < k.im.lo and k.im.hi < box.im.hi)
 
 
 def _ref_quadrisect(f, box, bits):
@@ -317,10 +321,10 @@ class TestIntegerRefinement:
                 assert self._check(g, RootBox(Interval(lo, hi)), eps).re.width == 0
 
     def test_quadrisection_descends(self):
-        # each box holds the root i alone, and no sub-box of one split
-        # certifies.  The first also holds the critical point i sqrt(5/2)
-        # of (x^2+1)(x^2+4), so the Newton test fails, and i sits on the
-        # centred cut re = 0
+        # each box holds the root i alone, and the reference's Krawczyk test
+        # certifies no sub-box of one split.  The first also holds the
+        # critical point i sqrt(5/2) of (x^2+1)(x^2+4), so the Newton test
+        # fails, and i sits on the centred cut re = 0
         cases = [(P("x^4+5*x^2+4"), RootBox(Interval(Fraction(-1, 2), Fraction(1, 2)),
                                             Interval(Fraction(1, 2), Fraction(17, 10)))),
                  (P("x^2+1"), RootBox(Interval(Fraction(-2, 3), Fraction(1, 5)),
@@ -480,41 +484,87 @@ class TestWeierstrassCertificate:
                            for x, y in zs) == 1
 
 
-class TestKrawczyk:
-    def test_passes_on_good_box(self):
-        f = P("x^2+1")
-        box = RootBox(Interval(Fraction(-1, 8), Fraction(1, 8)),
-                      Interval(Fraction(7, 8), Fraction(9, 8)))
-        assert krawczyk_passes(f, box)
+# 20 seeded squarefree polynomials of degree 2-12, coefficients up to 30 and
+# up to 10^12 in turn; for each, a box around one upper root that 60-digit
+# mpmath roots show to hold that root alone, refined to 2^-64
+WIDE_BOXES = """
+import random
+from fractions import Fraction
+import mpmath
+from mpmath.libmp import to_rational
+from heightbounds.intervals import Interval
+from heightbounds.polys import IntPolynomial, squarefree_part
+from heightbounds.roots import RootBox, refine_complex_box
 
-    def test_fails_on_empty_box(self):
-        f = P("x^2+1")
-        box = RootBox(Interval(Fraction(2), Fraction(3)),
-                      Interval(Fraction(2), Fraction(3)))
-        assert not krawczyk_passes(f, box)
+def exact(x):
+    return Fraction(*to_rational(mpmath.mpf(x)._mpf_))
 
-    def test_random_certificates(self):
-        # spec-scale randomized audit: degree <= 12, |coeffs| <= 20
-        rng = random.Random(31)
-        done = 0
-        while done < 8:
-            cs = [rng.randint(-20, 20) for _ in range(rng.randint(2, 12))] + [rng.randint(1, 20)]
-            f = squarefree_part(IntPolynomial(cs))
-            if f.degree < 2:
-                continue
-            done += 1
-            for b in isolate_roots(f):
-                if b.is_real:
-                    if b.re.width == 0:
-                        assert f.sign_at(b.re.lo) == 0
-                    else:
-                        assert count_real_roots(f, b.re.lo, b.re.hi) == 1
-                else:
-                    assert krawczyk_passes(f, b)
+rng = random.Random(1)
+eps = Fraction(1, 1 << 64)
+done = 0
+while done < 20:
+    bound = 10**12 if done % 2 else 30
+    cs = [rng.randint(-bound, bound) for _ in range(rng.randint(2, 12))]
+    f = squarefree_part(IntPolynomial(cs + [rng.randint(1, bound)]))
+    if f.degree < 2:
+        continue
+    with mpmath.workdps(60):
+        zs = mpmath.polyroots(list(reversed(f.coeffs)), maxsteps=500, extraprec=300)
+        k = rng.randrange(len(zs))
+        if zs[k].imag <= 0:
+            continue
+        sep = min(abs(zs[k] - z) for j, z in enumerate(zs) if j != k)
+        w = exact(sep * rng.uniform(0.2, 0.45))
+        roots = [(exact(z.real), exact(z.imag)) for z in zs]
+    x, y = roots[k]
+    den = 10 ** max(3, 3 - int(mpmath.floor(mpmath.log10(w))))
+    re_lo = Fraction(int((x - w * Fraction(rng.randint(1, 9), 10)) * den), den)
+    im_lo = Fraction(int((y - w * Fraction(rng.randint(1, 9), 10)) * den), den)
+    re, im = Interval(re_lo, re_lo + w), Interval(im_lo, im_lo + w)
+    if [j for j, (u, v) in enumerate(roots) if re.contains(u) and im.contains(v)] != [k]:
+        continue
+    if im.lo <= 0:
+        continue
+    done += 1
+    box = RootBox(re, im)
+    got = refine_complex_box(f, box, eps)
+    assert got.width <= eps and box.contains_rect(got)
+    assert got.re.contains(x) and got.im.contains(y)
+"""
 
+
+class TestRootBox:
     def test_nonreal_box_rejects_real_axis(self):
         with pytest.raises(IsolationError):
             RootBox(Interval(0, 1), Interval(Fraction(-1, 2), Fraction(1, 2)))
+
+
+class TestSubdivision:
+    """Where a Newton step does not contract, `refine_complex_box` cuts the
+    box into quarters and keeps the ones that interval evaluation cannot
+    exclude."""
+
+    def test_wide_boxes_refine(self):
+        # boxes 0.2-0.45 of the root separation wide around an upper root,
+        # with decimal corners: the Newton test fails on nearly all of them
+        # at first, so subdivision runs
+        run_with_deadline(WIDE_BOXES, seconds=20)
+
+    def test_rootless_box_raises(self):
+        eps = Fraction(1, 1 << 64)
+        f = P("x^2+1")
+        # [2, 3] x [2, 3] holds no root: Newton's step finds that, and so
+        # does subdivision, where no quarter survives
+        with pytest.raises(IsolationError):
+            refine_complex_box(f, RootBox(Interval(2, 3), Interval(2, 3)), eps)
+        with pytest.raises(IsolationError):
+            _subdivide(f.coeffs, 512, 768, 512, 768, 256, 1, 0)
+        # a box around the critical point i sqrt(5/2) of (x^2+1)(x^2+4),
+        # where the Newton test fails, but no root
+        box = RootBox(Interval(Fraction(-1, 4), Fraction(1, 4)),
+                      Interval(Fraction(3, 2), Fraction(7, 4)))
+        with pytest.raises(IsolationError):
+            refine_complex_box(P("x^4+5*x^2+4"), box, eps)
 
 
 class TestLazyNumerics:
