@@ -533,6 +533,40 @@ while done < 20:
 """
 
 
+class TestKrawczyk:
+    """Randomised audit of the boxes `isolate_roots` returns. Non-real boxes
+    are now certified by Weierstrass discs rather than a Krawczyk test; the
+    audit checks them against 60-digit mpmath roots and refines each one."""
+
+    def test_random_certificates(self):
+        # spec-scale randomized audit: degree <= 12, |coeffs| <= 20
+        rng = random.Random(31)
+        eps = Fraction(1, 1 << 64)
+        done = 0
+        while done < 8:
+            cs = [rng.randint(-20, 20) for _ in range(rng.randint(2, 12))] + [rng.randint(1, 20)]
+            f = squarefree_part(IntPolynomial(cs))
+            if f.degree < 2:
+                continue
+            done += 1
+            with mpmath.workdps(60):
+                zs = mpmath.polyroots(list(reversed(f.coeffs)), maxsteps=500, extraprec=300)
+                zs = [(Fraction(*to_rational(mpmath.mpf(z.real)._mpf_)),
+                       Fraction(*to_rational(mpmath.mpf(z.imag)._mpf_))) for z in zs]
+            for b in isolate_roots(f):
+                if b.is_real:
+                    if b.re.width == 0:
+                        assert f.sign_at(b.re.lo) == 0
+                    else:
+                        assert count_real_roots(f, b.re.lo, b.re.hi) == 1
+                else:
+                    inside = [(x, y) for x, y in zs
+                              if b.re.lo <= x <= b.re.hi and b.im.lo <= y <= b.im.hi]
+                    assert len(inside) == 1
+                    got = refine_complex_box(f, b, eps)
+                    assert got.width <= eps and b.contains_rect(got)
+
+
 class TestRootBox:
     def test_nonreal_box_rejects_real_axis(self):
         with pytest.raises(IsolationError):
