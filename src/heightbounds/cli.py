@@ -23,7 +23,7 @@ from .polys import PolynomialError, parse_polynomial, squarefree_part
 from .search import (CursorError, SearchError, SearchSpace, equality_hunt,
                      min_height_survey)
 from .spotcheck import SpotcheckError, polydisk_spotcheck
-from .verify import (InstanceError, UndecidedError, schinzel_check,
+from .verify import (PRECISION_CAP, InstanceError, UndecidedError, schinzel_check,
                      verify_corollary, verify_theorem)
 
 EXIT_OK = 0
@@ -274,7 +274,8 @@ def build_parser() -> _Parser:
                   description="Exact heights of algebraic numbers and certified "
                               "lower-bound constants for multihomogeneous forms")
     top.add_argument("--precision", type=int, default=128,
-                     help="working precision in bits (default %(default)s)")
+                     help="working precision in bits, 32 to %d (default %%(default)s)"
+                          % PRECISION_CAP)
     top.add_argument("--format", choices=("json", "text"), default="json")
     top.add_argument("--jobs", type=int, default=1)
     top.add_argument("--cap", type=int, default=64,
@@ -343,8 +344,8 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    if args.precision < 32:
-        sys.stderr.write("error: precision must be >= 32\n")
+    if not 32 <= args.precision <= PRECISION_CAP:
+        sys.stderr.write("error: precision must be between 32 and %d\n" % PRECISION_CAP)
         return EXIT_USAGE
     if args.jobs < 1:
         sys.stderr.write("error: jobs must be >= 1\n")

@@ -419,14 +419,19 @@ def poly_eval_rect(coeffs, z: Rect) -> Rect:
     """Rectangle Horner with `Rect.__mul__`'s interval products, run on
     integers by `_horner_rect`: the same rational result, with no gcd per
     step."""
-    re, im = z.re, z.im
-    q = lcm(re.lo.denominator, re.hi.denominator, im.lo.denominator, im.hi.denominator)
-    a, b = re.lo.numerator * (q // re.lo.denominator), re.hi.numerator * (q // re.hi.denominator)
-    c, d = im.lo.numerator * (q // im.lo.denominator), im.hi.numerator * (q // im.hi.denominator)
-    rlo, rhi, ilo, ihi = _horner_rect(coeffs, a, b, c, d, q)
+    q, [corners] = _numerators([z])
+    rlo, rhi, ilo, ihi = _horner_rect(coeffs, *corners, q)
     s = q ** (len(coeffs) - 1) if coeffs else 1
     return Rect(Interval(Fraction(rlo, s), Fraction(rhi, s)),
                 Interval(Fraction(ilo, s), Fraction(ihi, s)))
+
+
+def _numerators(rects) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """q, the lcm of the rectangles' corner denominators, and each
+    rectangle's corners (re lo, re hi, im lo, im hi) as numerators over q."""
+    corners = [(z.re.lo, z.re.hi, z.im.lo, z.im.hi) for z in rects]
+    q = lcm(*(x.denominator for c in corners for x in c))
+    return q, [tuple(x.numerator * (q // x.denominator) for x in c) for c in corners]
 
 
 # Integer Horner cores.  A point or corner x/q enters as its numerator x
@@ -462,6 +467,19 @@ def _horner_rect(coeffs, a: int, b: int, c: int, d: int,
         ilo, ihi = min(t) + min(u), max(t) + max(u)
         qk *= q
     return rlo, rhi, ilo, ihi
+
+
+def _rect_mul(x: tuple, y: tuple) -> tuple[int, int, int, int]:
+    """`Rect.__mul__` on integer numerators: x and y are (re lo, re hi,
+    im lo, im hi) over denominators q_x and q_y, the product is over
+    q_x * q_y."""
+    rlo, rhi, ilo, ihi = x
+    a, b, c, d = y
+    p = (rlo * a, rlo * b, rhi * a, rhi * b)  # x.re * y.re
+    s = (ilo * c, ilo * d, ihi * c, ihi * d)  # x.im * y.im
+    t = (rlo * c, rlo * d, rhi * c, rhi * d)  # x.re * y.im
+    u = (ilo * a, ilo * b, ihi * a, ihi * b)  # x.im * y.re
+    return min(p) - max(s), max(p) - min(s), min(t) + min(u), max(t) + max(u)
 
 
 def _horner_point(coeffs, x: int, y: int, q: int) -> tuple[int, int]:

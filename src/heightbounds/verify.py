@@ -12,7 +12,7 @@ from .bounds import rho
 from .forms import (ExceptionalSet, FormError, MultihomogeneousPolynomial,
                     c_max, delta, reciprocal_transform, require_valid)
 from .heights import HeightValue, MultiProjectivePoint, point_log_height
-from .intervals import Interval, Rect
+from .intervals import Interval, Rect, _numerators, _rect_mul
 
 EQUALITY_WIDTH = Fraction(1, 1 << 64)
 PRECISION_CAP = 4096
@@ -129,21 +129,40 @@ def evaluate_exact(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
 
 def evaluate_interval(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
                       bits: int) -> Rect:
-    """Certified rectangle around F(point); fallback when exact arithmetic
-    would blow the degree cap."""
+    """Certified rectangle around F(point) from boxes of width 2^-bits: the
+    64-bit test that opens `_vanishes` and the ladder past the degree cap.
+
+    Runs on integers.  Each coordinate and coefficient box is read once and
+    its corners taken as numerators over q, the lcm of all corner
+    denominators.  Each monomial multiplies its coefficient by its
+    coordinates in order with `Rect.__mul__`'s interval products; every
+    monomial has total degree D = sum(F.degrees), so the terms and their sum
+    are over q^(D+1), and the result is the rectangle that `Fraction`
+    rectangle products give.
+    """
     _require_shape(F, point)
     eps = Fraction(1, 1 << bits)
-    total = Rect(Interval(0), Interval(0))
-    for exp, coeff in sorted(F.monomials.items()):
-        term = coeff.box(eps)
-        for i, row in enumerate(exp):
-            for j, m in enumerate(row):
-                if m:
-                    base = point.blocks[i][j].box(eps)
-                    for _ in range(m):
-                        term = term * base
-        total = total + term
-    return total
+    boxes = {}
+    coeffs, products = [], []
+    for exp, coeff in F.monomials.items():
+        factors = [(i, j) for i, row in enumerate(exp)
+                   for j, m in enumerate(row) for _ in range(m)]
+        for i, j in factors:
+            if (i, j) not in boxes:
+                boxes[i, j] = point.blocks[i][j].box(eps)
+        coeffs.append(coeff.box(eps))
+        products.append(factors)
+    q, corners = _numerators([*boxes.values(), *coeffs])
+    coords = dict(zip(boxes, corners))
+    total = (0, 0, 0, 0)
+    for term, factors in zip(corners[len(boxes):], products):
+        for ij in factors:
+            term = _rect_mul(term, coords[ij])
+        total = tuple(x + y for x, y in zip(total, term))
+    s = q ** (sum(F.degrees) + 1)
+    rlo, rhi, ilo, ihi = total
+    return Rect(Interval(Fraction(rlo, s), Fraction(rhi, s)),
+                Interval(Fraction(ilo, s), Fraction(ihi, s)))
 
 
 def evaluate(F: MultihomogeneousPolynomial, point: MultiProjectivePoint, cap: int = 64):

@@ -168,6 +168,17 @@ class TestProcessLevel:
                               cwd=str(Path(__file__).resolve().parent.parent))
         assert proc.returncode == 64
 
+    def test_precision_outside_range_is_usage_error(self, capsys):
+        # above the 4096-bit cap, schinzel of this root took seconds per
+        # doubling: --precision 1000000 never finished
+        for bits in ("31", "4097", "1000000"):
+            code, out, err = run_cli(["--precision", bits, "schinzel", "x^2-x-3@2.3"], capsys)
+            assert (code, out) == (64, "")
+            assert "between 32 and 4096" in err
+        code, out, _ = run_cli(["--precision", "4096", "schinzel", "x^2-x-3@2.3"], capsys)
+        assert code == 0
+        assert json.loads(out)["precision_bits"] == 4096
+
     def test_round_trip_emitted_algnum_accepted(self, tmp_path, capsys, golden):
         # every emitted schema is accepted where that schema is an input
         doc = jsonio.algnum_to_json(golden)

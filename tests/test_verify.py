@@ -8,7 +8,7 @@ from heightbounds.factor import factor_over_rationals
 from heightbounds.forms import (ExceptionalSet, MultihomogeneousPolynomial,
                                 reciprocal_transform)
 from heightbounds.heights import MultiProjectivePoint
-from heightbounds.intervals import Rect
+from heightbounds.intervals import Interval, Rect
 from heightbounds.polys import IntPolynomial, parse_polynomial
 from heightbounds.verify import (CorollaryInstance, InstanceError, build_sum_form,
                                  check_hypotheses, evaluate, evaluate_interval,
@@ -52,6 +52,95 @@ class TestEvaluate:
         v = evaluate(F, point, cap=2)
         assert isinstance(v, Rect)
         assert not v.contains_zero()
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference: evaluate_interval as it was written in Fraction rectangle
+# arithmetic, before it moved to integers.  The integer version must return
+# the same rectangle wherever this returns.
+
+
+def _ref_evaluate_interval(F, point, bits):
+    eps = Fraction(1, 1 << bits)
+    total = Rect(Interval(0), Interval(0))
+    for exp, coeff in sorted(F.monomials.items()):
+        term = coeff.box(eps)
+        for i, row in enumerate(exp):
+            for j, m in enumerate(row):
+                if m:
+                    base = point.blocks[i][j].box(eps)
+                    for _ in range(m):
+                        term = term * base
+        total = total + term
+    return total
+
+
+def _number_pool():
+    """Rationals with non-dyadic denominators, irrational reals and
+    non-real numbers."""
+    rationals = [as_algebraic(Fraction(p, q)) for p, q in
+                 ((1, 3), (-5, 7), (2, 9), (7, 1), (-1, 6), (10, 3))]
+    reals = [alg("x^2-2", 1), alg("x^3-3", 0), alg("x^2-x-1", 0)]
+    nonreal = [alg("x^2+1", 1), alg("x^2+x+1", 0), alg("x^3-2", 1)]
+    return rationals, reals, nonreal
+
+
+def _exponent_row(rng, n, d):
+    """A random row of n + 1 exponents summing to d."""
+    row = [0] * (n + 1)
+    for _ in range(d):
+        row[rng.randrange(n + 1)] += 1
+    return tuple(row)
+
+
+class TestIntegerEvaluation:
+    """evaluate_interval on integers against the frozen Fraction reference."""
+
+    BITS = (64, 128, 4096)
+
+    def test_random_forms_equal_reference(self):
+        rng = random.Random(2024)
+        rationals, reals, nonreal = _number_pool()
+        numbers = rationals + reals + nonreal
+        # an irrational -N coefficient, N = 1 + sqrt2
+        minus_n = reals[0]._add_rational(1).neg()
+        for case in range(30):
+            shape = rng.choice(((2,), (2, 1), (1, 2), (2, 2), (2, 1, 1)))
+            degrees = tuple(rng.randint(1, 3) for _ in shape)
+            mons = {}
+            for _ in range(rng.randint(1, 5)):
+                exp = tuple(_exponent_row(rng, n, d) for n, d in zip(shape, degrees))
+                mons[exp] = rng.choice(numbers + [minus_n])
+            blocks = []
+            for n in shape:
+                block = [as_algebraic(0) if rng.random() < 0.2 else rng.choice(numbers)
+                         for _ in range(n + 1)]
+                if all(c.is_zero() for c in block):
+                    block[0] = rng.choice(numbers)
+                blocks.append(block)
+            F = MultihomogeneousPolynomial(shape, degrees, mons)
+            point = MultiProjectivePoint(blocks)
+            for bits in self.BITS:
+                assert evaluate_interval(F, point, bits) == \
+                    _ref_evaluate_interval(F, point, bits), (case, bits)
+
+    def test_sum_forms_equal_reference(self):
+        rng = random.Random(77)
+        rationals, reals, nonreal = _number_pool()
+        numbers = rationals + reals + nonreal
+        ns = [as_algebraic(3), reals[2], reals[0]._add_rational(1)]
+        for r in range(1, 6):
+            for n_value in ns:
+                F, _ = build_sum_form(n_value, r)
+                alphas = [rng.choice(numbers) for _ in range(r - 1)]
+                # for r <= 2 the point lies on the zero set: the rectangle holds 0
+                alphas.append(n_value.sub(sum(alphas, as_algebraic(0))) if r <= 2
+                              else rng.choice(numbers))
+                point = MultiProjectivePoint([(1, a) for a in alphas])
+                for G in (F, reciprocal_transform(F)):
+                    for bits in self.BITS:
+                        assert evaluate_interval(G, point, bits) == \
+                            _ref_evaluate_interval(G, point, bits), (r, bits)
 
 
 class TestHypotheses:
@@ -108,6 +197,20 @@ class TestHypothesisGate:
         assert [h.name for h in results] == [
             "zero-set", "coordinates-nonzero", "reciprocal-nonzero"]
         assert all(h.passed for h in results)
+
+    def test_gates_build_no_rect_product(self, golden, sqrt2, sqrt3, monkeypatch):
+        # golden r = 1, and r = 3 with irrational N = phi and alpha_3 of degree 8
+        cases = [(golden, [golden]), (golden, [sqrt2, sqrt3, golden - sqrt2 - sqrt3])]
+
+        def refuse(*_args):
+            raise AssertionError("Fraction rectangle product built")
+
+        monkeypatch.setattr(Rect, "__mul__", refuse)
+        monkeypatch.setattr(Rect, "__rmul__", refuse)
+        for n_value, alphas in cases:
+            F, E = build_sum_form(n_value, len(alphas))
+            point = MultiProjectivePoint([(1, a) for a in alphas])
+            assert all(h.passed for h in check_hypotheses(F, E, point))
 
     def test_near_miss_reciprocal_decided_exactly(self):
         # alpha = sqrt(1 + 2^-100): F(x^-1) = 1/alpha - alpha = -2^-100/alpha
