@@ -1,13 +1,17 @@
 """Factorization of integer polynomials over the rationals.
 
-Pipeline: content/primitive split, Yun squarefree decomposition, then for
-each squarefree part a Zassenhaus round.  At each small prime the size of
-the Berlekamp basis counts the factors mod p; the prime with the fewest is
-chosen and f is split there only.  The factors are Hensel-lifted as
-ascending residue lists to a Mignotte-sized modulus p^l and recombined by
-subset search, with a polynomial over Z built only for each candidate.
+Pipeline: content/primitive split, a squarefree test modulo one small
+prime (only inputs that fail it go on to Yun's squarefree decomposition
+over Z), then for each squarefree part a Zassenhaus round.  At each small
+prime the size of the Berlekamp basis counts the factors mod p; the rows
+x^(ip) mod f come by shifting when p < 2n.  The prime with the fewest
+factors is chosen and f is split there only.  The factors are
+Hensel-lifted as ascending residue lists straight to a Mignotte-sized
+modulus p^l, through the exponents ceil(l/2^k), and recombined by subset
+search, with a polynomial over Z built only for each candidate.
 Exponential recombination is fine at the degrees this package targets
-(<= ~64; practical inputs stay below ~30).
+(<= ~64; practical inputs stay below ~30).  The last 4096 factorizations
+are memoized.
 """
 
 from __future__ import annotations
@@ -142,15 +146,28 @@ def gf_is_squarefree(a, p):
 
 
 def _berlekamp_matrix(f, p):
+    """Rows x^(i*p) mod f (i < n) of monic f of degree n, each a list of n
+    residues.  Below p = 2n each row follows from the last by p shifts, a
+    multiply by x and one subtraction of f each (p*n^2 operations); from
+    there on, one product with x^p mod f per row (about 2n^3) is cheaper."""
     n = len(f) - 1
-    xp = gf_pow_mod([0, 1], p, f, p)
     rows = []
-    power = [1]
+    if p >= 2 * n:
+        xp = gf_pow_mod([0, 1], p, f, p)
+        power = [1]
+        for _ in range(n):
+            rows.append(power + [0] * (n - len(power)))
+            power = gf_rem(gf_mul(power, xp, p), f, p)
+        return rows
+    low = f[:n]
+    row = [1] + [0] * (n - 1)
     for _ in range(n):
-        row = list(power) + [0] * (n - len(power))
         rows.append(row)
-        power = gf_rem(gf_mul(power, xp, p), f, p)
-    # rows[i] = x^(i*p) mod f
+        for _ in range(p):
+            c = row[-1]
+            row = [0] + row[:-1]
+            if c:
+                row = [(a - c * b) % p for a, b in zip(row, low)]
     return rows
 
 
@@ -234,14 +251,16 @@ def gf_factor_squarefree(f, p, basis) -> list[list[int]]:
 # every divisor is monic, so the GF(p) helpers above are valid there
 
 
-def _hensel_step(m, f, g, h, s, t):
-    """One quadratic lift of f = g*h, s*g + t*h = 1 from mod m to mod m^2
-    (von zur Gathen & Gerhard, Modern Computer Algebra, Alg. 15.10)."""
-    M = m * m
+def _hensel_step(M, f, g, h, s, t, last=False):
+    """One quadratic lift of f = g*h, s*g + t*h = 1 from mod m to mod M,
+    for M dividing m^2 (von zur Gathen & Gerhard, Modern Computer Algebra,
+    Alg. 15.10).  The last step of a lift leaves s and t as they are."""
     e = gf_sub([c % M for c in f], gf_mul(g, h, M), M)
     q, r = gf_divmod(gf_mul(s, e, M), h, M)
     G = gf_add(g, gf_add(gf_mul(t, e, M), gf_mul(q, g, M), M), M)
     H = gf_add(h, r, M)
+    if last:
+        return G, H, s, t
     b = gf_sub(gf_add(gf_mul(s, G, M), gf_mul(t, H, M), M), [1], M)
     c, d = gf_divmod(gf_mul(s, b, M), H, M)
     S = gf_sub(s, d, M)
@@ -251,7 +270,8 @@ def _hensel_step(m, f, g, h, s, t):
 
 def _hensel_lift(p, f, modular_factors, l) -> list[list[int]]:
     """Lift the monic pairwise-coprime factors of f mod p (ascending
-    coefficients, lead prime to p) to monic factors mod p^l."""
+    coefficients, lead prime to p) to monic factors mod p^l, through the
+    exponents ..., ceil(l/4), ceil(l/2), l, each at most twice the last."""
     pl = p ** l
     k = len(modular_factors) // 2
     if not k:
@@ -265,10 +285,13 @@ def _hensel_lift(p, f, modular_factors, l) -> list[list[int]]:
     s, t, one = gf_gcdex(g, h, p)
     if len(one) != 1:
         raise PolynomialError("modular factors not coprime")
-    m = p
-    while m < pl:
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
+    chain = []
+    e = l
+    while e > 1:
+        chain.append(e)
+        e = (e + 1) // 2
+    for e in reversed(chain):
+        g, h, s, t = _hensel_step(p ** e, f, g, h, s, t, last=e == l)
     return (_hensel_lift(p, g, modular_factors[:k], l)
             + _hensel_lift(p, h, modular_factors[k:], l))
 
@@ -386,7 +409,14 @@ def factor_squarefree_primitive(f: IntPolynomial) -> list[IntPolynomial]:
 
 
 def squarefree_decomposition(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun decomposition of a primitive f: list of (squarefree part, multiplicity)."""
+    """Yun decomposition of a primitive f: list of (squarefree part, multiplicity).
+
+    f is first reduced modulo the first odd prime p not dividing its lead.
+    If f = g^2 h then g keeps its degree mod p, so f squarefree mod p is
+    squarefree over Q and skips Yun's gcds over Z."""
+    p = next((q for q in _odd_primes() if f.lead % q), None)
+    if p is not None and gf_is_squarefree(gf_from_poly(f, p), p):
+        return [(f.canonical(), 1)]
     out = []
     g = poly_gcd(f, f.derivative())
     if g.degree == 0:
@@ -412,11 +442,18 @@ def factor_over_rationals(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
 
     The product of the factors (with multiplicities) equals f up to a
     rational constant.  Factors are sorted by (degree, coefficient tuple).
+    Memoized for the last 4096 polynomials; every call returns a fresh
+    list.
     """
+    return list(_factorization(f))
+
+
+@lru_cache(maxsize=4096)
+def _factorization(f: IntPolynomial) -> tuple[tuple[IntPolynomial, int], ...]:
     if f.is_zero():
         raise PolynomialError("cannot factor the zero polynomial")
     if f.degree == 0:
-        return []
+        return ()
     work = f.canonical()
     out: list[tuple[IntPolynomial, int]] = []
     # pull off powers of x first (frequent in practice, cheap)
@@ -430,7 +467,7 @@ def factor_over_rationals(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
         for part, mult in squarefree_decomposition(work):
             for irr in factor_squarefree_primitive(part):
                 out.append((irr.canonical(), mult))
-    return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
+    return tuple(sorted(out, key=lambda t: (t[0].degree, t[0].coeffs)))
 
 
 def is_irreducible(f: IntPolynomial) -> bool:

@@ -1,13 +1,15 @@
+import json
 import random
 
 import mpmath
 import pytest
 import sympy
 
+from heightbounds import factor
 from heightbounds.factor import (_berlekamp_matrix, _hensel_lift, _nullspace_mod,
                                  _odd_primes, factor_over_rationals, gf_factor_squarefree,
                                  gf_from_poly, gf_is_squarefree, gf_monic, gf_mul,
-                                 is_irreducible, squarefree_decomposition)
+                                 gf_pow_mod, is_irreducible, squarefree_decomposition)
 from heightbounds.polys import IntPolynomial, PolynomialError, parse_polynomial
 
 from conftest import run_with_deadline
@@ -124,24 +126,105 @@ class TestCompositeDegrees:
         assert facs == sympy_factors(f)
 
 
+def modular_factors(f, p):
+    fp = gf_from_poly(f, p)
+    assert gf_is_squarefree(fp, p)
+    fp = gf_monic(fp, p)
+    return gf_factor_squarefree(fp, p, _nullspace_mod(_berlekamp_matrix(fp, p), p))
+
+
+def assert_lift(f, p, l, modular):
+    """The monic lifted factors multiply to f mod p^l and reduce to the
+    modular factors, which determines them."""
+    pl = p ** l
+    lifted = _hensel_lift(p, f.coeffs, modular, l)
+    prod = [f.lead % pl]
+    for g in lifted:
+        assert all(0 <= c < pl for c in g)
+        prod = gf_mul(prod, g, pl)
+    assert prod == [c % pl for c in f.coeffs]
+    assert len(lifted) == len(modular)
+    for g, mf in zip(lifted, modular):
+        assert g[-1] == 1
+        assert [c % p for c in g] == mf
+
+
 class TestHenselLift:
     def test_lifted_factors_multiply_to_f_and_reduce_to_modular(self):
         f = IntPolynomial(FOUR_ROOTS) * P("3*x^2-x-5")
         p, l = 13, 6
-        fp = gf_from_poly(f, p)
-        assert gf_is_squarefree(fp, p)
-        fp = gf_monic(fp, p)
-        modular = gf_factor_squarefree(fp, p, _nullspace_mod(_berlekamp_matrix(fp, p), p))
+        modular = modular_factors(f, p)
         assert len(modular) >= 8
-        pl = p ** l
-        lifted = _hensel_lift(p, f.coeffs, modular, l)
-        prod = [f.lead % pl]
-        for g in lifted:
-            prod = gf_mul(prod, g, pl)
-        assert prod == [c % pl for c in f.coeffs]
-        for g, mf in zip(lifted, modular):
-            assert g[-1] == 1
-            assert [c % p for c in g] == mf
+        assert_lift(f, p, l, modular)
+
+    @pytest.mark.parametrize("l", [2, 3, 5, 9, 17])
+    def test_exponents_between_powers_of_two(self, l):
+        # the chain l, ceil(l/2), ..., 1 meets exponents that are not powers
+        # of two; the lift must land on p^l itself, not past it
+        for f, p in ((IntPolynomial(FOUR_ROOTS) * P("3*x^2-x-5"), 13),
+                     (P("x^3-x+2") * P("2*x^4+x-7") * P("x^2+1") * P("x-4"), 3)):
+            modular = modular_factors(f, p)
+            assert len(modular) >= 3
+            assert_lift(f, p, l, modular)
+
+
+class TestBerlekampRows:
+    @staticmethod
+    def reference_rows(f, p):
+        n = len(f) - 1
+        rows = []
+        for i in range(n):
+            r = gf_pow_mod([0, 1], i * p, f, p)
+            rows.append(r + [0] * (n - len(r)))
+        return rows
+
+    def test_rows_are_powers_of_x_to_the_p(self):
+        # shifting below p = 2n, products with x^p mod f from there on: the
+        # primes straddle that line for every degree drawn
+        rng = random.Random(4242)
+        primes = list(_odd_primes(1100))
+        shifted = multiplied = 0
+        for _ in range(60):
+            n = rng.randint(2, 40)
+            below = rng.random() < 0.6
+            p = rng.choice([q for q in primes if (q < 2 * n) == below])
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            shifted += p < 2 * n
+            multiplied += p >= 2 * n
+            assert _berlekamp_matrix(f, p) == self.reference_rows(f, p)
+        assert shifted >= 20 and multiplied >= 15
+
+    @pytest.mark.parametrize("n,p", [(6, 11), (6, 13), (20, 37), (20, 41), (40, 3), (40, 1009)])
+    def test_rows_at_the_line(self, n, p):
+        rng = random.Random(n * p)
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        assert _berlekamp_matrix(f, p) == self.reference_rows(f, p)
+
+    def test_lead_divisible_by_every_small_prime_factors_in_bounded_time(self):
+        # every odd prime below 300 divides the lead, so the squarefree test
+        # and the Zassenhaus loop both pass over 61 primes and split at p > 2n
+        lead = 1
+        for p in _odd_primes(300):
+            lead *= p
+        rng = random.Random(300)
+        x = sympy.Symbol("x")
+        while True:
+            g = [rng.randint(-9, 9) for _ in range(10)] + [lead]
+            if g[0] and sympy.Poly(list(reversed(g)), x).is_irreducible:
+                break
+        f = (IntPolynomial(g) * random_irreducible(rng, 10) * random_irreducible(rng, 9)
+             * P("x+1"))
+        assert f.degree == 30
+        out = run_with_deadline(
+            "import json\n"
+            "from heightbounds.factor import factor_over_rationals\n"
+            "from heightbounds.polys import IntPolynomial\n"
+            "facs = factor_over_rationals(IntPolynomial(%r))\n"
+            "print(json.dumps([[g.coeffs, m] for g, m in facs]))\n" % list(f.coeffs),
+            seconds=30)
+        got = [(IntPolynomial(cs), m) for cs, m in json.loads(out)]
+        assert got == sympy_factors(f)
+        assert [g.degree for g, _ in got] == [1, 9, 10, 10]
 
 
 class TestSquarefreeDecomposition:
@@ -150,6 +233,48 @@ class TestSquarefreeDecomposition:
         parts = squarefree_decomposition(f.canonical())
         assert (P("x^2-2"), 1) in parts
         assert (P("x-1"), 3) in parts
+
+    @pytest.mark.parametrize("parts", [
+        [("x^2-x-3", 2), ("2*x^3+x+5", 1)],     # g^2 h
+        [("x", 4), ("x^2+x+1", 3)],             # x^k g^3
+        [("x^2+x+1", 1)],                       # squarefree, (x-1)^2 mod 3
+        [("x^6+x^3+1", 1)],                     # derivative 0 mod 3
+        [("3*x^2+5*x+1", 1)],                   # 3 divides the lead: tested mod 5
+        [("3*x-1", 2), ("x^2+1", 1)],           # squarefree mod 3 only at degree 2
+    ])
+    def test_multiplicities_match_sympy(self, parts):
+        f = IntPolynomial([1])
+        for text, m in parts:
+            f = f * P(text) ** m
+        assert factor_over_rationals(f) == sympy_factors(f)
+
+    def test_squarefree_mod_p_skips_yun(self, monkeypatch):
+        # squarefree mod the first prime not dividing the lead: no gcd over Z
+        def no_gcd(*args):
+            raise AssertionError("Yun's gcd called")
+        monkeypatch.setattr(factor, "poly_gcd", no_gcd)
+        for text in ("x^2-2", "3*x^2+5*x+1", "x^3-x+2"):
+            f = P(text)
+            assert squarefree_decomposition(f) == [(f, 1)]
+
+    @pytest.mark.parametrize("parts", [
+        [("x^2+x+1", 1)],
+        [("x^6+x^3+1", 1)],
+        [("2*x^3+x+5", 1), ("x^2-x-3", 2)],
+    ])
+    def test_not_squarefree_mod_p_goes_to_yun(self, parts, monkeypatch):
+        calls = []
+        real = factor.poly_gcd
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(factor, "poly_gcd", counted)
+        f = IntPolynomial([1])
+        for text, m in parts:
+            f = f * P(text) ** m
+        assert squarefree_decomposition(f) == [(P(a), m) for a, m in parts]
+        assert calls
 
     def test_big_lift_coefficients(self):
         # coefficients large enough to force several Hensel doublings
@@ -173,6 +298,23 @@ FIVE_ROOTS = [2000989041197056, 0, -44660812492570624, 0, 183876928237731840, 0,
               15459151516270592, 0, -2349014746136576, 0, 239210760462336, 0,
               -16665641517056, 0, 801918722048, 0, -26625650688, 0, 602397952, 0,
               -9028096, 0, 84864, 0, -448, 0, 1]
+
+
+class TestFactorizationCache:
+    def test_mutating_the_returned_list_changes_nothing(self):
+        f = P("x^4-1")
+        want = sympy_factors(f)
+        facs = factor_over_rationals(f)
+        assert facs == want
+        facs.append((P("x-7"), 1))
+        facs[0] = (P("x+5"), 3)
+        del facs[1]
+        assert factor_over_rationals(f) == want
+        assert factor_over_rationals(f) is not factor_over_rationals(f)
+        g = P("x^4-10*x^2+1")
+        factor_over_rationals(g).clear()
+        assert is_irreducible(g)
+        assert not is_irreducible(f)
 
 
 class TestPrimeStream:
