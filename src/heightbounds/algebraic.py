@@ -79,12 +79,23 @@ def conjugate_box(f: IntPolynomial, index: int, eps: Fraction | None = None) -> 
     Real conjugates lead the order, so they never wait for the non-real."""
     real = _isolated_real(f)
     box = real[index] if index < len(real) else _isolated(f)[index]
-    if eps is None or box.width <= eps:
+    if eps is None or not _wider(box, eps):
         return box
     source = next((w for w in _ANCHORS if w > eps), None)
     if source is not None:
         box = conjugate_box(f, index, source)
-    return refine_box(f, box, eps) if box.width > eps else box
+    return refine_box(f, box, eps) if _wider(box, eps) else box
+
+
+def _wider(box: Rect, eps: Fraction) -> bool:
+    """box.width > eps, compared on integers."""
+    n, d = eps.numerator, eps.denominator
+    for iv in (box.re, box.im):
+        lo, hi = iv.lo, iv.hi
+        if (hi.numerator * lo.denominator - lo.numerator * hi.denominator) * d \
+                > n * hi.denominator * lo.denominator:
+            return True
+    return False
 
 
 def _holds_root(f: IntPolynomial, rect: Rect) -> bool:

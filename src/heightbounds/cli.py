@@ -32,6 +32,8 @@ EXIT_UNDECIDED = 2
 EXIT_ERROR = 3
 EXIT_USAGE = 64
 
+JOBS_CAP = 256  # worker processes; each takes its own memory
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -277,7 +279,8 @@ def build_parser() -> _Parser:
                      help="working precision in bits, 32 to %d (default %%(default)s)"
                           % PRECISION_CAP)
     top.add_argument("--format", choices=("json", "text"), default="json")
-    top.add_argument("--jobs", type=int, default=1)
+    top.add_argument("--jobs", type=int, default=1,
+                     help="worker processes, 1 to %d (default %%(default)s)" % JOBS_CAP)
     top.add_argument("--cap", type=int, default=64,
                      help="composite-degree cap for exact algebraic arithmetic")
     sub = top.add_subparsers(dest="command", metavar="SUBCOMMAND")
@@ -347,8 +350,8 @@ def main(argv=None) -> int:
     if not 32 <= args.precision <= PRECISION_CAP:
         sys.stderr.write("error: precision must be between 32 and %d\n" % PRECISION_CAP)
         return EXIT_USAGE
-    if args.jobs < 1:
-        sys.stderr.write("error: jobs must be >= 1\n")
+    if not 1 <= args.jobs <= JOBS_CAP:
+        sys.stderr.write("error: jobs must be between 1 and %d\n" % JOBS_CAP)
         return EXIT_USAGE
     if args.cap < 1:
         sys.stderr.write("error: cap must be >= 1\n")

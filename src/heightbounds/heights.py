@@ -14,7 +14,8 @@ from math import ceil, gcd, isqrt
 
 from .algebraic import AlgebraicNumber, as_algebraic, conjugate_box
 from .factor import factor_over_rationals
-from .intervals import Interval, ln_fraction
+from .intervals import (Interval, _numerators, _sq, ln_fraction, sqrt_fraction_down,
+                        sqrt_fraction_up)
 from .polys import IntPolynomial, is_cyclotomic
 
 DEFAULT_BITS = 128
@@ -74,8 +75,9 @@ def mahler_measure(f: IntPolynomial, eps) -> Interval:
 def _measure_of_parts(f: IntPolynomial, parts, eps: Fraction) -> Interval:
     """M(f) from its irreducible (factor, multiplicity) parts; x and the
     cyclotomic factors contribute exactly 1."""
-    parts = [(g, mult) for g, mult in parts
-             if g.coeffs != (0, 1) and not is_cyclotomic(g)]
+    # a root whose isolating box lies in the unit disk contributes 1
+    parts = [(g, mult, [i for i in range(g.degree) if _abs2(conjugate_box(g, i))[1] > 1])
+             for g, mult in parts if g.coeffs != (0, 1) and not is_cyclotomic(g)]
     # Boxes of width w move each |root| by < 2w, so while n * w <= 1/4 the
     # product moves by < 4 * n * w * M, and M <= ||f||_2 (Landau).
     n = f.degree
@@ -83,17 +85,43 @@ def _measure_of_parts(f: IntPolynomial, parts, eps: Fraction) -> Interval:
     k = max(ceil(4 * n * landau / eps).bit_length(), (4 * n).bit_length())
     while True:
         w = Fraction(1, 1 << k)
-        total = Interval(abs(f.lead))
-        for g, mult in parts:
-            acc = Interval(1)
-            for i in range(g.degree):
-                # a root whose isolating box lies in the unit disk contributes 1
-                if conjugate_box(g, i).abs2().hi > 1:
-                    acc = acc * conjugate_box(g, i, w).abs_interval(k + 4).max_with(1)
-            total = total * acc.pow_int(mult)
+        # every factor is >= 1, so the product of the intervals is the
+        # product of their lower ends and that of their upper ends, kept
+        # here as integer numerators and denominators
+        lo_n = hi_n = abs(f.lead)
+        lo_d = hi_d = 1
+        for g, mult, outside in parts:
+            a_n = a_d = b_n = b_d = 1
+            for i in outside:
+                lo, hi = _abs_bounds(conjugate_box(g, i, w), k + 4)
+                if lo.numerator > lo.denominator:  # max(1, |z|)
+                    a_n, a_d = a_n * lo.numerator, a_d * lo.denominator
+                if hi.numerator > hi.denominator:
+                    b_n, b_d = b_n * hi.numerator, b_d * hi.denominator
+            lo_n, lo_d = lo_n * a_n ** mult, lo_d * a_d ** mult
+            hi_n, hi_d = hi_n * b_n ** mult, hi_d * b_d ** mult
+        total = Interval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
         if total.width <= eps:
             return total
         k += 16
+
+
+def _abs2(box) -> tuple[Fraction, Fraction]:
+    """The ends of |z|^2 = re^2 + im^2 over box, squares as
+    `Interval.pow_int(2)` forms them."""
+    q, [(a, b, c, d)] = _numerators([box])
+    (s0, s1), (t0, t1) = _sq(a, b), _sq(c, d)
+    return Fraction(s0 + t0, q * q), Fraction(s1 + t1, q * q)
+
+
+def _abs_bounds(box, bits: int) -> tuple[Fraction, Fraction]:
+    """Lower and upper bounds of |z| over box: exact for a real box, square
+    roots of |z|^2 rounded outward to `bits` otherwise."""
+    if box.is_real:
+        a = box.re.abs()
+        return a.lo, a.hi
+    lo, hi = _abs2(box)
+    return sqrt_fraction_down(lo, bits), sqrt_fraction_up(hi, bits)
 
 
 def weil_log_height(a: AlgebraicNumber, bits: int = DEFAULT_BITS) -> HeightValue:

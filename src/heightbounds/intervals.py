@@ -24,10 +24,15 @@ class Interval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi=None):
-        lo = Fraction(lo)
-        hi = lo if hi is None else Fraction(hi)
-        if lo > hi:
-            raise IntervalError("empty interval [%s, %s]" % (lo, hi))
+        # Fractions pass through: Fraction(x) would run the numbers.Rational
+        # check again, and so would comparing two Fractions
+        lo = lo if type(lo) is Fraction else Fraction(lo)
+        if hi is None:
+            hi = lo
+        else:
+            hi = hi if type(hi) is Fraction else Fraction(hi)
+            if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+                raise IntervalError("empty interval [%s, %s]" % (lo, hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -114,10 +119,6 @@ class Interval:
         if self.hi <= 0:
             return -self
         return Interval(Fraction(0), max(-self.lo, self.hi))
-
-    def max_with(self, x) -> "Interval":
-        x = Fraction(x)
-        return Interval(max(self.lo, x), max(self.hi, x))
 
     def pow_int(self, n: int) -> "Interval":
         if n == 0:
@@ -374,14 +375,12 @@ class Rect:
         return _as_rect(other) + (-self)
 
     def __mul__(self, other):
-        other = _as_rect(other)
-        return Rect(self.re * other.re - self.im * other.im,
-                    self.re * other.im + self.im * other.re)
+        """Interval products re*re - im*im and re*im + im*re, formed by
+        `_rect_mul` on numerators over one common denominator."""
+        q, (x, y) = _numerators([self, _as_rect(other)])
+        return _rect_over(_rect_mul(x, y), q * q)
 
     __rmul__ = __mul__
-
-    def abs2(self) -> Interval:
-        return self.re.pow_int(2) + self.im.pow_int(2)
 
     def contains_zero(self) -> bool:
         return self.re.contains(0) and self.im.contains(0)
@@ -409,10 +408,20 @@ def _as_rect(x) -> Rect:
 
 
 def rect_inverse(z: Rect) -> Rect:
-    d = z.abs2()
-    if d.contains(0):
+    """conj(z) / |z|^2, with |z|^2 = re^2 + im^2 as `Interval.pow_int(2)`
+    forms the squares and each part divided by it as an `Interval`
+    quotient, on integers: with corners over q, |z|^2 is [lo, hi] / q^2,
+    and x / q divided by it is x * q / [hi, lo], so the four quotients of
+    each part compare as x * lo and x * hi over lo * hi."""
+    q, [(a, b, c, d)] = _numerators([z])
+    s0, s1 = _sq(a, b)
+    t0, t1 = _sq(c, d)
+    lo, hi = s0 + t0, s1 + t1
+    if lo == 0:  # |z|^2 >= 0 always, so it meets 0 exactly when lo is 0
         raise IntervalError("inverse of rectangle containing zero")
-    return Rect(z.re / d, -z.im / d)
+    rlo, rhi = _imul(a, b, lo, hi)
+    ilo, ihi = _imul(c, d, lo, hi)
+    return _rect_over((rlo * q, rhi * q, -ihi * q, -ilo * q), lo * hi)
 
 
 def poly_eval_rect(coeffs, z: Rect) -> Rect:
@@ -420,8 +429,13 @@ def poly_eval_rect(coeffs, z: Rect) -> Rect:
     integers by `_horner_rect`: the same rational result, with no gcd per
     step."""
     q, [corners] = _numerators([z])
-    rlo, rhi, ilo, ihi = _horner_rect(coeffs, *corners, q)
-    s = q ** (len(coeffs) - 1) if coeffs else 1
+    return _rect_over(_horner_rect(coeffs, *corners, q),
+                      q ** (len(coeffs) - 1) if coeffs else 1)
+
+
+def _rect_over(corners, s: int) -> Rect:
+    """The Rect with corners (re lo, re hi, im lo, im hi) over s."""
+    rlo, rhi, ilo, ihi = corners
     return Rect(Interval(Fraction(rlo, s), Fraction(rhi, s)),
                 Interval(Fraction(ilo, s), Fraction(ihi, s)))
 
@@ -467,6 +481,21 @@ def _horner_rect(coeffs, a: int, b: int, c: int, d: int,
         ilo, ihi = min(t) + min(u), max(t) + max(u)
         qk *= q
     return rlo, rhi, ilo, ihi
+
+
+def _imul(a0: int, a1: int, b0: int, b1: int) -> tuple[int, int]:
+    """[a0, a1] * [b0, b1], as `Interval.__mul__` forms it."""
+    p = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
+    return min(p), max(p)
+
+
+def _sq(lo: int, hi: int) -> tuple[int, int]:
+    """[lo, hi]^2, as `Interval.pow_int(2)` forms it."""
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return 0, max(-lo, hi) ** 2
 
 
 def _rect_mul(x: tuple, y: tuple) -> tuple[int, int, int, int]:

@@ -23,8 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .intervals import (Interval, Rect, _horner_interval, _horner_point, _horner_rect,
-                        sqrt_fraction_down, sqrt_fraction_up)
+from .intervals import Interval, Rect, _horner_interval, _horner_point, _horner_rect, _imul, _sq
 from .polys import (IntPolynomial, PolynomialError, _horner_int, count_real_roots, root_bound,
                     sturm_chain)
 
@@ -43,12 +42,13 @@ class RootBox(Rect):
     __slots__ = ("is_real",)
 
     def __init__(self, re: Interval, im: Interval | None = None):
-        # slots are set directly, skipping Rect.__init__: boxes are built in hot loops
-        is_real = im is None or (im.lo == 0 and im.hi == 0)
-        if not is_real and im.contains(0):
+        # slots are set directly, skipping Rect.__init__: boxes are built in
+        # hot loops, so the axis tests read the endpoints' numerator signs
+        is_real = im is None or im.lo.numerator == 0 == im.hi.numerator
+        if not is_real and im.lo.numerator <= 0 <= im.hi.numerator:
             raise IsolationError("non-real box may not meet the real axis")
         object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", Interval(0) if is_real else im)
+        object.__setattr__(self, "im", _ZERO if is_real else im)
         object.__setattr__(self, "is_real", is_real)
 
     def __reduce__(self):
@@ -65,13 +65,8 @@ class RootBox(Rect):
             return self
         return RootBox(self.re, -self.im)
 
-    def abs_interval(self, bits: int) -> Interval:
-        """Enclosure of |z| over the box."""
-        if self.is_real:
-            return self.re.abs()
-        a2 = self.abs2()
-        return Interval(sqrt_fraction_down(max(a2.lo, Fraction(0)), bits),
-                        sqrt_fraction_up(a2.hi, bits))
+
+_ZERO = Interval(0)  # the imaginary part of every real box
 
 
 # ---------------------------------------------------------------------------
@@ -146,21 +141,6 @@ def _round_out(lo: int, hi: int, k: int, g: int, a: int, b: int) -> tuple[int, i
     with [a, b] / D; the result is over D."""
     step = k * g
     return max(lo // step * g, a), min(-(-hi // step) * g, b)
-
-
-def _imul(a0: int, a1: int, b0: int, b1: int) -> tuple[int, int]:
-    """[a0, a1] * [b0, b1], as `Interval.__mul__` forms it."""
-    p = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
-    return min(p), max(p)
-
-
-def _sq(lo: int, hi: int) -> tuple[int, int]:
-    """[lo, hi]^2, as `Interval.pow_int(2)` forms it."""
-    if lo >= 0:
-        return lo * lo, hi * hi
-    if hi <= 0:
-        return hi * hi, lo * lo
-    return 0, max(-lo, hi) ** 2
 
 
 def refine_real_box(f: IntPolynomial, box: RootBox, eps: Fraction) -> RootBox:

@@ -270,6 +270,7 @@ def min_height_survey(space: SearchSpace, bits: int = 64, jobs: int = 1,
         resume_position = (rdeg, rindex)
     chunks = _chunks(space, resume_position)
     args = [(space, d, s, e, bits) for d, s, e in chunks]
+    jobs = min(jobs, len(args))  # a worker per chunk at most
     with multiprocessing.Pool(jobs) if jobs > 1 else nullcontext() as pool:
         results = pool.imap(_chunk_worker, args) if pool else map(_chunk_worker, args)
         for (chunk_seen, chunk_stats), (degree, _s, end) in zip(results, chunks):

@@ -384,6 +384,7 @@ def _batch_worker(args):
 def verify_corollary_batch(instances, precision: int = 128, jobs: int = 1) -> list[Verdict]:
     """Order-preserving batch verification; results are independent of jobs."""
     work = [(inst.alphas, inst.n_value, precision) for inst in instances]
+    jobs = min(jobs, len(work))  # a worker per instance at most
     if jobs <= 1:
         return [_batch_worker(w) for w in work]
     with multiprocessing.Pool(jobs) as pool:

@@ -45,6 +45,34 @@ def run_with_deadline(code: str, seconds: float = 60) -> str:
 
 
 @pytest.fixture
+def recording_pool(monkeypatch):
+    """Replaces multiprocessing.Pool with an in-process stand-in; the list
+    it returns collects the worker count of every pool asked for, and no
+    process is started."""
+    import multiprocessing
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes=None):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    return sizes
+
+
+@pytest.fixture
 def golden():
     return alg("x^2-x-1", 1)
 

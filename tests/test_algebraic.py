@@ -194,6 +194,15 @@ class TestPredicates:
             assert len(cs) == a.degree
             assert all(b.width <= Fraction(1, 1 << 16) for b in cs)
 
+    def test_box_refined_only_past_eps(self):
+        from heightbounds.algebraic import conjugate_box
+        for f in (P("x^3-x-1"), P("x^2+x+1"), P("3*x^2-7")):
+            for i in range(f.degree):
+                box = conjugate_box(f, i)
+                assert conjugate_box(f, i, box.width) is box
+                eps = box.width * Fraction(2, 3)
+                assert conjugate_box(f, i, eps).width <= eps
+
     def test_totally_real_closed_under_addition(self):
         rng = random.Random(55)
         pool = ["x^2-2", "x^2-3", "x^2-x-1", "x^2-5", "x^2-2*x-1"]

@@ -179,6 +179,18 @@ class TestProcessLevel:
         assert code == 0
         assert json.loads(out)["precision_bits"] == 4096
 
+    def test_jobs_outside_range_is_usage_error(self, tmp_path, capsys, recording_pool):
+        spath = tmp_path / "space.json"
+        spath.write_text(json.dumps(SearchSpace(1, 2, 2).to_json_dict()))
+        for jobs in ("0", "257", "100000"):
+            code, out, err = run_cli(["--jobs", jobs, "search", str(spath)], capsys)
+            assert (code, out) == (64, "")
+            assert "between 1 and 256" in err
+        assert recording_pool == []
+        code, _, _ = run_cli(["--precision", "64", "--jobs", "256", "search", str(spath)], capsys)
+        assert code == 0
+        assert recording_pool == [2]  # a worker per chunk, one chunk per degree
+
     def test_round_trip_emitted_algnum_accepted(self, tmp_path, capsys, golden):
         # every emitted schema is accepted where that schema is an input
         doc = jsonio.algnum_to_json(golden)

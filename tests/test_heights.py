@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from math import ceil, isqrt
 
 import pytest
 
-from heightbounds.algebraic import AlgebraicNumber, as_algebraic
+from heightbounds.algebraic import AlgebraicNumber, as_algebraic, conjugate_box
+from heightbounds.factor import factor_over_rationals
 from heightbounds.heights import (HeightError, HeightValue, MultiProjectivePoint,
                                   UnsupportedBlockShape, block_log_height,
                                   mahler_measure, point_log_height,
                                   rational_block_log_height, weil_log_height)
-from heightbounds.polys import IntPolynomial, cyclotomic_polynomial, parse_polynomial
+from heightbounds.intervals import Interval, sqrt_fraction_down, sqrt_fraction_up
+from heightbounds.polys import IntPolynomial, cyclotomic_polynomial, is_cyclotomic, parse_polynomial
 
 from conftest import (HALF_LN_PHI, LN_2, LN_PHI, M_LEHMER, PHI, SMYTH, alg)
 
@@ -77,6 +80,68 @@ class TestMahler:
             mahler_measure(IntPolynomial(()), EPS9)
         with pytest.raises(HeightError):
             mahler_measure(P("x-1"), 0)
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference: `_measure_of_parts` as it was written in Fraction
+# interval arithmetic, before its products moved to integers.  The integer
+# version must return the same interval.
+
+
+def _ref_abs_interval(box, bits):
+    if box.is_real:
+        return box.re.abs()
+    a2 = box.re.pow_int(2) + box.im.pow_int(2)
+    return Interval(sqrt_fraction_down(max(a2.lo, Fraction(0)), bits),
+                    sqrt_fraction_up(a2.hi, bits))
+
+
+def _ref_measure_of_parts(f, parts, eps):
+    parts = [(g, mult) for g, mult in parts
+             if g.coeffs != (0, 1) and not is_cyclotomic(g)]
+    n = f.degree
+    landau = isqrt(sum(c * c for c in f.coeffs)) + 1
+    k = max(ceil(4 * n * landau / eps).bit_length(), (4 * n).bit_length())
+    while True:
+        w = Fraction(1, 1 << k)
+        total = Interval(abs(f.lead))
+        for g, mult in parts:
+            acc = Interval(1)
+            for i in range(g.degree):
+                b = conjugate_box(g, i)
+                if (b.re.pow_int(2) + b.im.pow_int(2)).hi > 1:
+                    a = _ref_abs_interval(conjugate_box(g, i, w), k + 4)
+                    acc = acc * Interval(max(a.lo, 1), max(a.hi, 1))
+            total = total * acc.pow_int(mult)
+        if total.width <= eps:
+            return total
+        k += 16
+
+
+class TestMahlerFractionReference:
+    def test_equals_fraction_reference(self):
+        rng = random.Random(20140612)
+        extras = [P("x"), P("x^2"), cyclotomic_polynomial(3), cyclotomic_polynomial(8),
+                  P("3*x-5"), P("7*x+2"), P("x^2+x+5"), P("2*x^2-3*x+7")]
+        kinds = set()
+        for _ in range(60):
+            f = IntPolynomial([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+                              + [rng.randint(1, 4)])
+            if f.degree < 1:
+                continue
+            f = f ** rng.choice((1, 1, 2))
+            for g in rng.sample(extras, rng.randint(0, 2)):
+                f = f * g ** rng.randint(1, 2)
+            parts = factor_over_rationals(f)
+            kinds.update(("multiple" for _, m in parts if m > 1))
+            kinds.update(("x-or-cyclotomic" for g, _ in parts if is_cyclotomic(g) or g == P("x")))
+            kinds.update(("non-real" for g, _ in parts
+                          for i in range(g.degree) if not conjugate_box(g, i).is_real))
+            kinds.update(("non-dyadic" for g, _ in parts
+                          if g.degree == 1 and g.lead & (g.lead - 1)))
+            eps = rng.choice((Fraction(1, 10**9), Fraction(1, 3), Fraction(1, 1 << 80)))
+            assert mahler_measure(f, eps) == _ref_measure_of_parts(f, parts, eps), f
+        assert kinds == {"multiple", "x-or-cyclotomic", "non-real", "non-dyadic"}
 
 
 class TestWeilHeight:

@@ -35,6 +35,18 @@ class TestIntervalOps:
         with pytest.raises(IntervalError):
             Interval(1) / Interval(-1, 1)
 
+    def test_empty_rejected_for_every_input_type(self):
+        for lo, hi in ((3, 2), ("1/2", "1/3"), (Fraction(-1, 3), Fraction(-1, 2)),
+                       (Fraction(10**40 + 1, 3), Fraction(10**40, 3)), (True, False)):
+            with pytest.raises(IntervalError):
+                Interval(lo, hi)
+        assert Interval("1/3", Fraction(1, 3)) == Interval(Fraction(1, 3))
+
+    def test_inputs_normalized_to_fractions(self):
+        for iv in (Interval(True), Interval(False, True), Interval(2, "5/2"), Interval(0.5)):
+            assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+        assert Interval(True) == Interval(1) and Interval(False, True) == Interval(0, 1)
+
     def test_pow_int(self):
         iv = Interval(Fraction(-2), Fraction(3))
         sq = iv.pow_int(2)
@@ -144,11 +156,28 @@ class TestRect:
         assert v.contains_zero()
 
 
+# ---------------------------------------------------------------------------
+# Frozen reference: `Rect.__mul__` and `rect_inverse` as they were written in
+# Fraction interval arithmetic, before they moved to integers.  The integer
+# versions must return the same rectangles and raise where these raise.
+
+
+def _fraction_rect_mul(x: Rect, y: Rect) -> Rect:
+    return Rect(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+
+
+def _fraction_rect_inverse(z: Rect) -> Rect:
+    d = z.re.pow_int(2) + z.im.pow_int(2)
+    if d.contains(0):
+        raise IntervalError("inverse of rectangle containing zero")
+    return Rect(z.re / d, -z.im / d)
+
+
 def _fraction_rect_horner(coeffs, z: Rect) -> Rect:
     """Reference: rectangle Horner in Fraction interval arithmetic."""
     acc = Rect(Interval(0), Interval(0))
     for c in reversed(coeffs):
-        acc = acc * z + Rect(Interval(c), Interval(0))
+        acc = _fraction_rect_mul(acc, z) + Rect(Interval(c), Interval(0))
     return acc
 
 
@@ -208,6 +237,59 @@ class TestIntegerHorner:
                                       x.hi.numerator * (q // x.hi.denominator), q)
             s = q ** (len(coeffs) - 1)
             assert Interval(Fraction(lo, s), Fraction(hi, s)) == _fraction_interval_horner(coeffs, x)
+
+
+class TestRectFractionReference:
+    @staticmethod
+    def _part(rng: random.Random) -> Interval:
+        kind = rng.choice(("wide", "wide", "positive", "negative", "point", "zero"))
+        if kind == "zero":
+            return Interval(0)
+        den = rng.choice((1, 3, 7 << rng.randint(0, 40), 3 ** rng.randint(1, 30),
+                          1 << rng.randint(0, 64)))
+        a = Fraction(rng.randint(-(1 << 70), 1 << 70), den)
+        if kind == "point":
+            return Interval(a)
+        b = Fraction(rng.randint(-(1 << 70), 1 << 70), rng.choice((den, den * 5, 11)))
+        a, b = min(a, b), max(a, b)
+        if kind == "positive":
+            return Interval(abs(a) + 1, abs(a) + abs(b) + 1)
+        if kind == "negative":
+            return Interval(-abs(a) - abs(b) - 1, -abs(a) - 1)
+        return Interval(a, b)
+
+    def test_mul_and_inverse_equal_fraction_reference(self):
+        rng = random.Random(20140613)
+        raised = 0
+        for _ in range(3000):
+            x = Rect(self._part(rng), self._part(rng))
+            y = Rect(self._part(rng), self._part(rng))
+            assert x * y == _fraction_rect_mul(x, y)
+            try:
+                expected = _fraction_rect_inverse(x)
+            except IntervalError:
+                raised += 1
+                with pytest.raises(IntervalError):
+                    rect_inverse(x)
+                continue
+            assert rect_inverse(x) == expected
+        assert 100 < raised < 1000  # rectangles meeting 0 are drawn too
+
+    def test_mul_by_rationals_and_intervals(self):
+        z = Rect(Interval(Fraction(-1, 3), Fraction(2, 7)), Interval(Fraction(5, 9), 1))
+        for other, re in ((3, Interval(3)), (Fraction(-2, 5), Interval(Fraction(-2, 5))),
+                          (Interval(Fraction(1, 3), 2), Interval(Fraction(1, 3), 2))):
+            assert z * other == _fraction_rect_mul(z, Rect(re, Interval(0)))
+        assert 3 * z == z * 3
+
+    def test_inverse_of_rectangle_touching_zero_rejected(self):
+        # |z|^2 has lower end 0 exactly when the rectangle holds 0
+        for z in (Rect(Interval(0), Interval(0)), Rect(Interval(0, 1), Interval(-1, 0)),
+                  Rect(Interval(Fraction(-1, 3), 0), Interval(0))):
+            with pytest.raises(IntervalError):
+                rect_inverse(z)
+        z = Rect(Interval(Fraction(-1, 3), Fraction(1, 3)), Interval(Fraction(1, 7), 1))
+        assert rect_inverse(z) == _fraction_rect_inverse(z)
 
 
 class TestDecimal:

@@ -5,13 +5,14 @@ import mpmath
 import pytest
 from mpmath.libmp import to_rational
 
-from heightbounds.intervals import Interval, IntervalError, Rect, rect_inverse
+from heightbounds.intervals import Interval, IntervalError, Rect
 from heightbounds.polys import IntPolynomial, count_real_roots, parse_polynomial, squarefree_part
 from heightbounds.roots import (IsolationError, RootBox, _aberth_seeds, _certify_upper_half,
                                 _grid_bits, _round_out, _subdivide, isolate_real_roots,
                                 isolate_roots, refine_box, refine_complex_box, refine_real_box)
 
 from conftest import LEHMER_TEXT, run_with_deadline
+from test_intervals import _fraction_rect_inverse, _fraction_rect_mul
 
 
 def P(text):
@@ -71,6 +72,13 @@ class TestRefinement:
         with pytest.raises(IsolationError):
             refine_real_box(f, box, Fraction(0))
 
+    def test_nonreal_box_meeting_axis_rejected(self):
+        for im in (Interval(-1, 1), Interval(0, 1), Interval(-1, 0)):
+            with pytest.raises(IsolationError):
+                RootBox(Interval(1, 2), im)
+        assert RootBox(Interval(1, 2), Interval(0)).is_real
+        assert not RootBox(Interval(1, 2), Interval(Fraction(-1, 3), Fraction(-1, 7))).is_real
+
     def test_complex_refine(self):
         f = P("x^2+1")
         box = [b for b in isolate_roots(f) if not b.is_real and b.im.lo > 0][0]
@@ -117,7 +125,7 @@ def _ref_interval_horner(coeffs, x: Interval) -> Interval:
 def _ref_rect_horner(coeffs, z: Rect) -> Rect:
     acc = Rect(Interval(0), Interval(0))
     for c in reversed(coeffs):
-        acc = acc * z + Rect(Interval(c), Interval(0))
+        acc = _fraction_rect_mul(acc, z) + Rect(Interval(c), Interval(0))
     return acc
 
 
@@ -188,7 +196,8 @@ def _ref_derivative_enclosure(f, x: Rect) -> Rect:
     mr, mi = x.mid()
     dr, di = _ref_point_horner(deriv.coeffs, mr, mi)
     d2 = _ref_rect_horner(deriv.derivative().coeffs, x)
-    taylor = Rect(Interval(dr), Interval(di)) + d2 * (x - Rect(Interval(mr), Interval(mi)))
+    taylor = Rect(Interval(dr), Interval(di)) + _fraction_rect_mul(
+        d2, x - Rect(Interval(mr), Interval(mi)))
     try:
         return Rect(taylor.re.intersect(raw.re), taylor.im.intersect(raw.im))
     except IntervalError:
@@ -204,8 +213,10 @@ def _ref_krawczyk(f, box):
         return False
     c = Rect(Interval(dr / norm), Interval(-di / norm))
     mid = Rect(Interval(mr), Interval(mi))
-    one_minus = Rect(Interval(1), Interval(0)) - c * _ref_derivative_enclosure(f, box)
-    k = mid - c * Rect(Interval(fr), Interval(fi)) + one_minus * (box - mid)
+    one_minus = Rect(Interval(1), Interval(0)) - _fraction_rect_mul(
+        c, _ref_derivative_enclosure(f, box))
+    k = (mid - _fraction_rect_mul(c, Rect(Interval(fr), Interval(fi)))
+         + _fraction_rect_mul(one_minus, box - mid))
     return (box.re.lo < k.re.lo and k.re.hi < box.re.hi
             and box.im.lo < k.im.lo and k.im.hi < box.im.hi)
 
@@ -234,8 +245,8 @@ def _ref_refine_complex(f, box, eps):
         stepped = False
         if not d_iv.contains_zero():
             fr, fi = _ref_point_horner(f.coeffs, mr, mi)
-            n = Rect(Interval(mr), Interval(mi)) - \
-                Rect(Interval(fr), Interval(fi)) * rect_inverse(d_iv)
+            n = Rect(Interval(mr), Interval(mi)) - _fraction_rect_mul(
+                Rect(Interval(fr), Interval(fi)), _fraction_rect_inverse(d_iv))
             nre, nim = n.re.intersect(cur.re), n.im.intersect(cur.im)
             if max(nre.width, nim.width) <= cur.width * Fraction(3, 4):
                 cur = RootBox(_ref_round_out(nre, bits).intersect(cur.re),

@@ -95,6 +95,18 @@ class TestSurvey:
                           cursor_path=str(tmp_path / "c4.json"))
         assert p1.read_bytes() == p4.read_bytes()
 
+    def test_workers_bounded_by_chunks(self, tmp_path, recording_pool):
+        # --jobs 100000 used to ask for 100,000 worker processes
+        sp = SearchSpace(1, 3, 2)
+        blobs = {}
+        for jobs in (1, 100000):
+            rec, cur = tmp_path / ("r%d.jsonl" % jobs), tmp_path / ("c%d.json" % jobs)
+            min_height_survey(sp, bits=64, jobs=jobs, records_path=str(rec),
+                              cursor_path=str(cur))
+            blobs[jobs] = (rec.read_bytes(), cur.read_bytes())
+        assert recording_pool == [3]  # one chunk per degree
+        assert blobs[1] == blobs[100000]
+
 
 class TestPartHeights:
     def test_each_part_measured_once(self, monkeypatch):

@@ -17,6 +17,7 @@ from heightbounds.verify import (CorollaryInstance, InstanceError, build_sum_for
                                  verify_corollary_batch, verify_theorem)
 
 from conftest import HALF_LN_PHI, LN_2, LN_PHI, alg, run_with_deadline
+from test_intervals import _fraction_rect_mul
 
 SLACK = Fraction(1, 10**38)
 
@@ -70,7 +71,7 @@ def _ref_evaluate_interval(F, point, bits):
                 if m:
                     base = point.blocks[i][j].box(eps)
                     for _ in range(m):
-                        term = term * base
+                        term = _fraction_rect_mul(term, base)
         total = total + term
     return total
 
@@ -412,6 +413,14 @@ class TestBatch:
         for a, b in zip(seq, par):
             if a.margin is not None:
                 assert a.margin.lo == b.margin.lo and a.margin.hi == b.margin.hi
+
+    def test_workers_bounded_by_instances(self, golden, recording_pool):
+        insts = [CorollaryInstance([golden], golden),
+                 CorollaryInstance([as_algebraic(2)], as_algebraic(2))]
+        par = verify_corollary_batch(insts, 128, jobs=100000)
+        assert recording_pool == [2]
+        assert verify_corollary_batch(insts[:1], 128, jobs=100000)[0].status == par[0].status
+        assert recording_pool == [2]  # a single instance runs in this process
 
 
 class TestManyModularFactors:
