@@ -132,6 +132,9 @@ def _conjugates_in(f: IntPolynomial, rect: Rect, encloses: bool) -> list[int]:
 
 def _number(minpoly: IntPolynomial, base: IntPolynomial, index: int,
             scale=Fraction(1), shift=Fraction(0)) -> "AlgebraicNumber":
+    if minpoly.degree == 1:  # a rational: root 0 of x, shifted by its value
+        base, index, scale = _X, 0, Fraction(1)
+        shift = Fraction(-minpoly.coeffs[0], minpoly.coeffs[1])
     a = object.__new__(AlgebraicNumber)
     a.minpoly, a._base, a._index, a._scale, a._shift = minpoly, base, index, scale, shift
     return a
@@ -155,8 +158,8 @@ class AlgebraicNumber:
             raise PolynomialError("need degree >= 1")
         root = _select([g for g, _ in factor_over_rationals(poly)], lambda eps: box,
                        encloses=False)
-        self.minpoly = self._base = root.minpoly
-        self._index, self._scale, self._shift = root._index, Fraction(1), Fraction(0)
+        self.minpoly, self._base, self._index, self._scale, self._shift = (
+            root.minpoly, root._base, root._index, root._scale, root._shift)
 
     # -- constructors -------------------------------------------------------
 
@@ -191,7 +194,7 @@ class AlgebraicNumber:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value")
-        return Fraction(-self.minpoly.coeffs[0], self.minpoly.coeffs[1])
+        return self._shift
 
     def is_zero(self) -> bool:
         return self.minpoly == _X
@@ -205,7 +208,7 @@ class AlgebraicNumber:
     def box(self, eps: Fraction | None = None) -> RootBox:
         """Certified enclosure; of width <= eps when given."""
         if self.is_rational():
-            return RootBox(Interval(self.as_fraction()))
+            return RootBox(Interval(self._shift))
         scale, shift = self._scale, self._shift
         if eps is not None:
             eps = eps / abs(scale)
@@ -366,6 +369,8 @@ class AlgebraicNumber:
                        lambda eps: reduce(Rect.__mul__, [self.box(eps)] * n))
 
     def _add_rational(self, q: Fraction) -> "AlgebraicNumber":
+        if q == 0:
+            return self
         if self.is_rational():
             return AlgebraicNumber.from_rational(self.as_fraction() + q)
         return self._affine(self.minpoly.shift_rational(q).canonical(), 1, q)
@@ -373,6 +378,8 @@ class AlgebraicNumber:
     def _mul_rational(self, q: Fraction) -> "AlgebraicNumber":
         if q == 0:
             return AlgebraicNumber.zero()
+        if q == 1:
+            return self
         if self.is_rational():
             return AlgebraicNumber.from_rational(self.as_fraction() * q)
         return self._affine(self.minpoly.scale_roots(q).canonical(), q, 0)

@@ -4,8 +4,8 @@ Pipeline: content/primitive split, a squarefree test modulo one small
 prime (only inputs that fail it go on to Yun's squarefree decomposition
 over Z), then for each squarefree part a Zassenhaus round.  At each small
 prime the size of the Berlekamp basis counts the factors mod p; the rows
-x^(ip) mod f come by shifting when p < 2n.  The prime with the fewest
-factors is chosen and f is split there only.  The factors are
+x^(ip) mod f come by shifting.  The prime with the fewest factors is
+chosen and f is split there only.  The factors are
 Hensel-lifted as ascending residue lists straight to a Mignotte-sized
 modulus p^l, through the exponents ceil(l/2^k), and recombined by subset
 search, with a polynomial over Z built only for each candidate.
@@ -147,18 +147,10 @@ def gf_is_squarefree(a, p):
 
 def _berlekamp_matrix(f, p):
     """Rows x^(i*p) mod f (i < n) of monic f of degree n, each a list of n
-    residues.  Below p = 2n each row follows from the last by p shifts, a
-    multiply by x and one subtraction of f each (p*n^2 operations); from
-    there on, one product with x^p mod f per row (about 2n^3) is cheaper."""
+    residues.  Each row follows from the last by p shifts, a multiply by x
+    and one subtraction of f each (p*n^2 operations)."""
     n = len(f) - 1
     rows = []
-    if p >= 2 * n:
-        xp = gf_pow_mod([0, 1], p, f, p)
-        power = [1]
-        for _ in range(n):
-            rows.append(power + [0] * (n - len(power)))
-            power = gf_rem(gf_mul(power, xp, p), f, p)
-        return rows
     low = f[:n]
     row = [1] + [0] * (n - 1)
     for _ in range(n):

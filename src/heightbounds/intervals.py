@@ -83,18 +83,24 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __add__(self, other):
+        if isinstance(other, Rect):  # Rect.__radd__ answers
+            return NotImplemented
         other = _as_interval(other)
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, Rect):
+            return NotImplemented
         return self + (-_as_interval(other))
 
     def __rsub__(self, other):
         return _as_interval(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, Rect):
+            return NotImplemented
         other = _as_interval(other)
         cands = (self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi)

@@ -12,7 +12,7 @@ from .bounds import rho
 from .forms import (ExceptionalSet, FormError, MultihomogeneousPolynomial,
                     c_max, delta, reciprocal_transform, require_valid)
 from .heights import HeightValue, MultiProjectivePoint, point_log_height
-from .intervals import Interval, Rect, _numerators, _rect_mul
+from .intervals import Interval, Rect, _numerators, _rect_mul, _rect_over
 
 EQUALITY_WIDTH = Fraction(1, 1 << 64)
 PRECISION_CAP = 4096
@@ -100,10 +100,16 @@ def _require_shape(F: MultihomogeneousPolynomial, point: MultiProjectivePoint):
                         % (point.shape, F.shape))
 
 
-def _exact_terms(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
-                 cap: int):
-    """Exact value of each monomial of F at the point, in monomial order."""
+def evaluate_exact(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
+                   cap: int = 64) -> AlgebraicNumber:
+    """Exact value of F at the point through algebraic arithmetic.
+
+    The nonzero monomial terms are summed in monomial order.  F vanishes iff
+    the sum of all but the last term equals minus the last, so a zero needs
+    no composed sum for the final addition.
+    """
     _require_shape(F, point)
+    terms = []
     for exp, term in sorted(F.monomials.items()):
         for i, row in enumerate(exp):
             for j, m in enumerate(row):
@@ -115,16 +121,14 @@ def _exact_terms(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
                     term = term.mul(c.pow(m), cap)
             if term.is_zero():
                 break
-        yield term
-
-
-def evaluate_exact(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
-                   cap: int = 64) -> AlgebraicNumber:
-    """Exact value of F at the point through algebraic arithmetic."""
-    total = AlgebraicNumber.zero()
-    for term in _exact_terms(F, point, cap):
-        total = total.add(term, cap)
-    return total
+        if not term.is_zero():
+            terms.append(term)
+    head = zero = AlgebraicNumber.zero()
+    for term in terms[:-1]:
+        head = head.add(term, cap)
+    if not terms or head.equals(terms[-1].neg()):
+        return zero
+    return head.add(terms[-1], cap)
 
 
 def evaluate_interval(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
@@ -159,24 +163,18 @@ def evaluate_interval(F: MultihomogeneousPolynomial, point: MultiProjectivePoint
         for ij in factors:
             term = _rect_mul(term, coords[ij])
         total = tuple(x + y for x, y in zip(total, term))
-    s = q ** (sum(F.degrees) + 1)
-    rlo, rhi, ilo, ihi = total
-    return Rect(Interval(Fraction(rlo, s), Fraction(rhi, s)),
-                Interval(Fraction(ilo, s), Fraction(ihi, s)))
+    return _rect_over(total, q ** (sum(F.degrees) + 1))
 
 
 def evaluate(F: MultihomogeneousPolynomial, point: MultiProjectivePoint, cap: int = 64):
-    """Exact algebraic value when the degree cap allows; otherwise a certified
-    rectangle.  A zero claim is never made from intervals alone."""
+    """F(point): the exact algebraic value under the degree cap; past it, a
+    rectangle that excludes 0 from the interval ladder of 64 ... 4096 bits,
+    else the exact value under a doubled cap, else UndecidedError.  A zero
+    claim is never made from intervals alone."""
     try:
         return evaluate_exact(F, point, cap)
     except DegreeCapExceeded:
-        return _evaluate_past_cap(F, point, cap)
-
-
-def _evaluate_past_cap(F: MultihomogeneousPolynomial, point: MultiProjectivePoint, cap: int):
-    """A rectangle that excludes 0 from the interval ladder, else the exact
-    value under a doubled degree cap, else UndecidedError."""
+        pass
     bits = 64
     while bits <= PRECISION_CAP:
         rect = evaluate_interval(F, point, bits)
@@ -193,26 +191,12 @@ def _evaluate_past_cap(F: MultihomogeneousPolynomial, point: MultiProjectivePoin
 
 def _vanishes(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
               cap: int) -> bool:
-    """Exact test of F(point) = 0.
-
-    A 64-bit rectangle that excludes 0 certifies a nonzero value; intervals
-    never certify a zero.  Otherwise the monomial terms are computed exactly
-    and F vanishes iff the sum of all but the last term equals minus the
-    last, which needs no resultant for the final addition.
-    """
+    """Exact test of F(point) = 0: a 64-bit rectangle that excludes 0
+    certifies a nonzero value without `evaluate`'s exact arithmetic."""
     if not evaluate_interval(F, point, 64).contains_zero():
         return False
-    try:
-        terms = [t for t in _exact_terms(F, point, cap) if not t.is_zero()]
-        if not terms:
-            return True
-        head = AlgebraicNumber.zero()
-        for term in terms[:-1]:
-            head = head.add(term, cap)
-    except DegreeCapExceeded:
-        value = _evaluate_past_cap(F, point, cap)
-        return isinstance(value, AlgebraicNumber) and value.is_zero()
-    return head.equals(terms[-1].neg())
+    value = evaluate(F, point, cap)
+    return isinstance(value, AlgebraicNumber) and value.is_zero()
 
 
 def point_inverse(point: MultiProjectivePoint) -> MultiProjectivePoint:

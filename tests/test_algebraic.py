@@ -78,9 +78,18 @@ class TestConstruction:
         assert verify_corollary(CorollaryInstance([a], a)).status == "equality-candidate"
         assert AlgebraicNumber(P("2*x^2-4"), RootBox(Interval(1, 2))).minpoly == P("x^2-2")
 
-    def test_degree_one_rationals(self):
-        a = as_algebraic(Fraction(7, 3))
-        assert a.is_rational() and a.as_fraction() == Fraction(7, 3)
+    def test_degree_one_rationals(self, sqrt2):
+        from heightbounds.roots import RootBox
+        made = [(as_algebraic(Fraction(7, 3)), Fraction(7, 3)),
+                (AlgebraicNumber(P("3*x-7") * P("x^2-2"), RootBox(Interval(2, 3))),
+                 Fraction(7, 3)),
+                (as_algebraic(Fraction(7, 3)).neg(), Fraction(-7, 3)),
+                (sqrt2 * sqrt2, Fraction(2))]
+        for a, value in made:
+            # every rational keeps its value, which as_fraction reads back
+            assert a.is_rational() and a.as_fraction() == value
+            assert a.as_fraction() is a.as_fraction()
+            assert a.box() == RootBox(Interval(value)) and a.is_real()
 
 
 class TestArithmetic:
@@ -120,6 +129,8 @@ class TestArithmetic:
         b = sqrt2._mul_rational(Fraction(-2))
         assert b.minpoly == P("x^2-8")
         assert float(b) < 0
+        assert sqrt2._add_rational(Fraction(0)) is sqrt2
+        assert sqrt2._mul_rational(Fraction(1)) is sqrt2
 
     def test_pow(self, golden):
         sq = golden.pow(2)

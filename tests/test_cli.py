@@ -119,6 +119,17 @@ class TestSubcommands:
         assert code == 1
         assert json.loads(out)["status"] == "violated-hypotheses"
 
+    def test_corollary_past_the_cap(self, tmp_path, capsys, sqrt2, sqrt3):
+        # N = sqrt2 + sqrt3 has degree 4 > cap 2; the doubled cap decides
+        # the zero-set gate once the interval ladder cannot
+        inst = {"alphas": [jsonio.algnum_to_json(sqrt2), jsonio.algnum_to_json(sqrt3)],
+                "N": jsonio.algnum_to_json(sqrt2 + sqrt3)}
+        path = tmp_path / "inst.json"
+        path.write_text(jsonio.dumps(inst))
+        code, out, _ = run_cli(["--cap", "2", "corollary", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["status"] == "holds"
+
     def test_search_and_hunt(self, tmp_path, capsys):
         space = SearchSpace(1, 2, 2).to_json_dict()
         spath = tmp_path / "space.json"

@@ -179,20 +179,20 @@ class TestBerlekampRows:
         return rows
 
     def test_rows_are_powers_of_x_to_the_p(self):
-        # shifting below p = 2n, products with x^p mod f from there on: the
-        # primes straddle that line for every degree drawn
+        # p shifts per row: primes below 2n and far above it, for every
+        # degree drawn
         rng = random.Random(4242)
         primes = list(_odd_primes(1100))
-        shifted = multiplied = 0
+        small = large = 0
         for _ in range(60):
             n = rng.randint(2, 40)
             below = rng.random() < 0.6
             p = rng.choice([q for q in primes if (q < 2 * n) == below])
             f = [rng.randrange(p) for _ in range(n)] + [1]
-            shifted += p < 2 * n
-            multiplied += p >= 2 * n
+            small += p < 2 * n
+            large += p >= 2 * n
             assert _berlekamp_matrix(f, p) == self.reference_rows(f, p)
-        assert shifted >= 20 and multiplied >= 15
+        assert small >= 20 and large >= 15
 
     @pytest.mark.parametrize("n,p", [(6, 11), (6, 13), (20, 37), (20, 41), (40, 3), (40, 1009)])
     def test_rows_at_the_line(self, n, p):

@@ -129,6 +129,13 @@ class TestRect:
                 assert float(prod.re.lo) - 1e-9 <= z.real <= float(prod.re.hi) + 1e-9
                 assert float(prod.im.lo) - 1e-9 <= z.imag <= float(prod.im.hi) + 1e-9
 
+    def test_interval_operand_first(self):
+        iv = Interval(Fraction(-2), Fraction(5, 3))
+        z = Rect(Interval(1, 2), Interval(Fraction(-1, 2), 3))
+        assert iv * z == z * iv
+        assert iv + z == z + iv
+        assert iv - z == -(z - iv)
+
     def test_inverse(self):
         z = Rect(Interval(Fraction(1), Fraction(2)), Interval(Fraction(1), Fraction(2)))
         inv = rect_inverse(z)

@@ -54,6 +54,23 @@ class TestEvaluate:
         assert isinstance(v, Rect)
         assert not v.contains_zero()
 
+    def test_zero_builds_no_last_composed_sum(self, golden, sqrt2, monkeypatch):
+        # sqrt2 + (phi - sqrt2) - phi: the head sqrt2 + (phi - sqrt2) is one
+        # composed sum, and comparing it with phi decides the zero
+        import heightbounds.algebraic as algebraic_mod
+        F, _ = build_sum_form(golden, 2)
+        point = MultiProjectivePoint([(1, sqrt2), (1, golden - sqrt2)])
+        built = []
+        resultant_sum = algebraic_mod._resultant_sum
+
+        def counted(f, g):
+            built.append((f, g))
+            return resultant_sum(f, g)
+
+        monkeypatch.setattr(algebraic_mod, "_resultant_sum", counted)
+        assert evaluate(F, point).is_zero()
+        assert len(built) == 1
+
 
 # ---------------------------------------------------------------------------
 # Frozen reference: evaluate_interval as it was written in Fraction rectangle
@@ -212,6 +229,25 @@ class TestHypothesisGate:
             F, E = build_sum_form(n_value, len(alphas))
             point = MultiProjectivePoint([(1, a) for a in alphas])
             assert all(h.passed for h in check_hypotheses(F, E, point))
+
+    def test_past_cap_gates_through_ladder_and_doubled_cap(self, sqrt2, sqrt3, monkeypatch):
+        # sqrt2 + sqrt3 = N is degree 4 > cap 2: no rung of the interval
+        # ladder separates the zero from 0, and the doubled cap decides it
+        import heightbounds.verify as verify_mod
+        alphas = [sqrt2, sqrt3]
+        F, E = build_sum_form(sqrt2 + sqrt3, 2)
+        point = MultiProjectivePoint([(1, a) for a in alphas])
+        rungs = []
+
+        def recorded(F, point, bits):
+            rungs.append(bits)
+            return evaluate_interval(F, point, bits)
+
+        monkeypatch.setattr(verify_mod, "evaluate_interval", recorded)
+        results = check_hypotheses(F, E, point, cap=2)
+        assert [h.name for h in results if h.passed] == [
+            "zero-set", "coordinates-nonzero", "reciprocal-nonzero"]
+        assert 4096 in rungs
 
     def test_near_miss_reciprocal_decided_exactly(self):
         # alpha = sqrt(1 + 2^-100): F(x^-1) = 1/alpha - alpha = -2^-100/alpha
