@@ -193,13 +193,13 @@ def _intersect_enclosures(a: Interval, b: Interval) -> Interval:
     return Interval(lo, hi)
 
 
-def segment_min(alpha, beta, gamma, bits: int = 64) -> SegmentMinSolution:
-    """Certified minimizer of the segment objective, plus the cross-check
-    root; e^(-min) and the root agree within the certified enclosures."""
-    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    if alpha <= 0 or beta <= 0 or gamma <= 0:
-        raise ThresholdError("alpha, beta, gamma must be positive")
-    work = bits + 32
+def _segment_objective(alpha: Fraction, beta: Fraction, gamma: Fraction, work: int):
+    """The objective u log(gamma u/(u+v)) + v log(v/(u+v)) of u on
+    alpha u + beta v = 1, written as x log x pieces with 0 log 0 := 0.
+
+    Returns its naive interval extension and the extension met with its
+    mean-value form.  alpha = 0 is allowed: v is then 1/beta throughout.
+    """
     ln_gamma = ln_fraction(gamma, work) if gamma != 1 else Interval(0)
     ab = alpha / beta
 
@@ -229,6 +229,17 @@ def segment_min(alpha, beta, gamma, bits: int = 64) -> SegmentMinSolution:
         centered = naive(Interval(m)) + dfu * (u_iv - m)
         return _intersect_enclosures(out, centered)
 
+    return naive, objective
+
+
+def segment_min(alpha, beta, gamma, bits: int = 64) -> SegmentMinSolution:
+    """Certified minimizer of the segment objective, plus the cross-check
+    root; e^(-min) and the root agree within the certified enclosures."""
+    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    if alpha <= 0 or beta <= 0 or gamma <= 0:
+        raise ThresholdError("alpha, beta, gamma must be positive")
+    work = bits + 32
+    _, objective = _segment_objective(alpha, beta, gamma, work)
     res = minimize_on_interval(objective, Fraction(0), 1 / alpha, bits)
     u = res.argmin
     v = (1 - alpha * u) / beta
@@ -247,8 +258,8 @@ def lambda_bound(b, dlt, c_f, bits: int = 64) -> Interval:
     b*log(2bC/((1-db)+2b)) + ((1-db)/2)*log((1-db)/((1-db)+2b)),
     with the 0*log 0 := 0 endpoint convention.
 
-    Written via x*log x pieces: xlogx(b) + b*log(2C) + xlogx(t)/2
-    - xlogx(t+2b)/2 with t = 1 - delta*b.
+    This is the segment objective at u = b, v = (1 - delta*b)/2, that is
+    alpha = delta, beta = 2, gamma = C.
     """
     dlt, c_f = Fraction(dlt), Fraction(c_f)
     b_iv = b if isinstance(b, Interval) else Interval(Fraction(b))
@@ -256,14 +267,8 @@ def lambda_bound(b, dlt, c_f, bits: int = 64) -> Interval:
         raise ThresholdError("b must be nonnegative")
     if dlt > 0 and b_iv.hi > 1 / dlt:
         raise ThresholdError("b outside [0, 1/delta]")
-    work = bits + 32
-    t_iv = 1 - b_iv * dlt
-    t_iv = Interval(max(t_iv.lo, Fraction(0)), max(t_iv.hi, Fraction(0)))
-    ln_2c = ln_fraction(2 * c_f, work)
-    half = Fraction(1, 2)
-    return (xlogx_interval(b_iv, work) + b_iv * ln_2c
-            + xlogx_interval(t_iv, work) * half
-            - xlogx_interval(t_iv + b_iv * 2, work) * half)
+    naive, _ = _segment_objective(dlt, Fraction(2), c_f, bits + 32)
+    return naive(b_iv)
 
 
 class OptimalWeight:
@@ -285,30 +290,9 @@ def optimal_b(dlt, c_f, bits: int = 60) -> OptimalWeight:
     dlt = Fraction(dlt)
     if dlt < 0:
         raise ThresholdError("delta must be nonnegative")
-    if dlt == 0:
-        hi = Fraction(64)  # the objective grows like b*log C eventually
-    else:
-        hi = 1 / dlt
-    work = bits + 24
-    ln_2c = ln_fraction(2 * Fraction(c_f), work + 32)
-
-    def objective(b_iv: Interval) -> Interval:
-        out = lambda_bound(b_iv, dlt, c_f, work)
-        if b_iv.width == 0:
-            return out
-        t_iv = 1 - b_iv * dlt
-        s_iv = t_iv + b_iv * 2
-        if b_iv.lo <= 0 or t_iv.lo <= 0 or s_iv.lo <= 0:
-            return out
-        # R'(b) = ln b + ln 2C - (d/2) ln t - (1 - d/2) ln(t + 2b)
-        half_d = dlt / 2
-        dfb = (log_interval(b_iv, work + 32) + ln_2c
-               - log_interval(t_iv, work + 32) * half_d
-               - log_interval(s_iv, work + 32) * (1 - half_d))
-        m = b_iv.mid
-        centered = lambda_bound(Interval(m), dlt, c_f, work) + dfb * (b_iv - m)
-        return _intersect_enclosures(out, centered)
-
+    # for delta = 0 the objective grows like b*log C eventually
+    hi = 1 / dlt if dlt else Fraction(64)
+    _, objective = _segment_objective(dlt, Fraction(2), Fraction(c_f), bits + 56)
     res = minimize_on_interval(objective, Fraction(0), hi, bits)
     return OptimalWeight(b=res.argmin, bracket=res.bracket, bound=res.value,
                          interior=res.interior)

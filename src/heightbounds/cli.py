@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import jsonio
-from .algebraic import AlgebraicNumber, _isolated, conjugate_box
+from .algebraic import DEFAULT_DEGREE_CAP, AlgebraicNumber, _isolated, conjugate_box
 from .bounds import ThresholdError, bound_constants, optimal_b, rho, segment_min
 from .forms import FormError, weight_scheme
 from .heights import HeightError, mahler_measure, weil_log_height
@@ -23,8 +23,8 @@ from .polys import PolynomialError, parse_polynomial, squarefree_part
 from .search import (CursorError, SearchError, SearchSpace, equality_hunt,
                      min_height_survey)
 from .spotcheck import SpotcheckError, polydisk_spotcheck
-from .verify import (PRECISION_CAP, InstanceError, UndecidedError, schinzel_check,
-                     verify_corollary, verify_theorem)
+from .verify import (EQUALITY, HOLDS, PRECISION_CAP, VIOLATED, InstanceError,
+                     UndecidedError, schinzel_check, verify_corollary, verify_theorem)
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -117,9 +117,9 @@ def _emit(doc: dict, fmt: str, headline: str = ""):
 
 
 def _verdict_exit(status: str) -> int:
-    if status in ("holds", "equality-candidate"):
+    if status in (HOLDS, EQUALITY):
         return EXIT_OK
-    if status == "violated-hypotheses":
+    if status == VIOLATED:
         return EXIT_HYPOTHESIS
     return EXIT_UNDECIDED
 
@@ -281,7 +281,7 @@ def build_parser() -> _Parser:
     top.add_argument("--format", choices=("json", "text"), default="json")
     top.add_argument("--jobs", type=int, default=1,
                      help="worker processes, 1 to %d (default %%(default)s)" % JOBS_CAP)
-    top.add_argument("--cap", type=int, default=64,
+    top.add_argument("--cap", type=int, default=DEFAULT_DEGREE_CAP,
                      help="composite-degree cap for exact algebraic arithmetic")
     sub = top.add_subparsers(dest="command", metavar="SUBCOMMAND")
 

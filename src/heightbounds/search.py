@@ -21,7 +21,7 @@ from .factor import factor_over_rationals
 from .heights import weil_log_height
 from .intervals import Interval, decimal_lower, decimal_upper
 from .polys import IntPolynomial, count_real_roots
-from .verify import CorollaryInstance, verify_corollary
+from .verify import EQUALITY, CorollaryInstance, verify_corollary
 
 KNOWN_PREDICATES = ("totally-real", "algebraic-integer", "exclude-trivial", "irreducible")
 RECORD_DIGITS = 30
@@ -378,33 +378,19 @@ def equality_hunt(r: int, space: SearchSpace, bits: int = 128,
     if survey is None:
         survey = min_height_survey(space, bits=max(64, bits // 2))
     found = []
-    if r == 1:
-        for rec in survey.records:
-            if count_real_roots(rec.minpoly) != rec.minpoly.degree:
-                continue
-            for box in _isolated(rec.minpoly):
-                alpha = AlgebraicNumber(rec.minpoly, box)
-                try:
-                    inst = CorollaryInstance([alpha], alpha)
-                    verdict = verify_corollary(inst, bits)
-                except ValueError:
-                    continue
-                if verdict.status == "equality-candidate":
-                    found.append((inst, verdict))
-        return found
-    units = [AlgebraicNumber.one(), AlgebraicNumber.from_rational(-1)]
+    units = ((),) if r == 1 else ((1,), (-1,))
     for rec in survey.records:
         if count_real_roots(rec.minpoly) != rec.minpoly.degree:
             continue
         for box in _isolated(rec.minpoly):
-            alpha2 = AlgebraicNumber(rec.minpoly, box)
-            for alpha1 in units:
-                n_value = alpha2._add_rational(alpha1.as_fraction())
+            alpha = AlgebraicNumber(rec.minpoly, box)
+            for unit in units:
+                n_value = alpha._add_rational(Fraction(sum(unit)))
                 try:
-                    inst = CorollaryInstance([alpha1, alpha2], n_value)
+                    inst = CorollaryInstance([*unit, alpha], n_value)
                     verdict = verify_corollary(inst, bits)
                 except ValueError:
                     continue
-                if verdict.status == "equality-candidate":
+                if verdict.status == EQUALITY:
                     found.append((inst, verdict))
     return found

@@ -4,10 +4,11 @@ concrete points, with the sum-equals-N and totally-real-integer entry points.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber, DegreeCapExceeded, as_algebraic
+from .algebraic import DEFAULT_DEGREE_CAP, AlgebraicNumber, DegreeCapExceeded, as_algebraic
 from .bounds import rho
 from .forms import (ExceptionalSet, FormError, MultihomogeneousPolynomial,
                     c_max, delta, reciprocal_transform, require_valid)
@@ -101,7 +102,7 @@ def _require_shape(F: MultihomogeneousPolynomial, point: MultiProjectivePoint):
 
 
 def evaluate_exact(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
-                   cap: int = 64) -> AlgebraicNumber:
+                   cap: int = DEFAULT_DEGREE_CAP) -> AlgebraicNumber:
     """Exact value of F at the point through algebraic arithmetic.
 
     The nonzero monomial terms are summed in monomial order.  F vanishes iff
@@ -166,16 +167,18 @@ def evaluate_interval(F: MultihomogeneousPolynomial, point: MultiProjectivePoint
     return _rect_over(total, q ** (sum(F.degrees) + 1))
 
 
-def evaluate(F: MultihomogeneousPolynomial, point: MultiProjectivePoint, cap: int = 64):
+def evaluate(F: MultihomogeneousPolynomial, point: MultiProjectivePoint,
+             cap: int = DEFAULT_DEGREE_CAP):
     """F(point): the exact algebraic value under the degree cap; past it, a
-    rectangle that excludes 0 from the interval ladder of 64 ... 4096 bits,
-    else the exact value under a doubled cap, else UndecidedError.  A zero
-    claim is never made from intervals alone."""
+    rectangle that excludes 0 from the interval ladder of 128 ... 4096 bits
+    (`_vanishes` has tried 64 already), else the exact value under a doubled
+    cap, else UndecidedError.  A zero claim is never made from intervals
+    alone."""
     try:
         return evaluate_exact(F, point, cap)
     except DegreeCapExceeded:
         pass
-    bits = 64
+    bits = 128
     while bits <= PRECISION_CAP:
         rect = evaluate_interval(F, point, bits)
         if not rect.contains_zero():
@@ -204,7 +207,8 @@ def point_inverse(point: MultiProjectivePoint) -> MultiProjectivePoint:
 
 
 def check_hypotheses(F: MultihomogeneousPolynomial, E: ExceptionalSet,
-                     point: MultiProjectivePoint, cap: int = 64) -> list[HypothesisResult]:
+                     point: MultiProjectivePoint,
+                     cap: int = DEFAULT_DEGREE_CAP) -> list[HypothesisResult]:
     """The three exact gates: F(x) = 0, all coordinates nonzero, F(x^-1) != 0.
 
     With every coordinate nonzero, F(x^-1) * prod x_ij^(d_ij) is the
@@ -241,7 +245,7 @@ def check_hypotheses(F: MultihomogeneousPolynomial, E: ExceptionalSet,
 
 def verify_theorem(F: MultihomogeneousPolynomial, E: ExceptionalSet,
                    point: MultiProjectivePoint, precision: int = 128,
-                   cap: int = 64) -> Verdict:
+                   cap: int = DEFAULT_DEGREE_CAP) -> Verdict:
     """Certified margin for sum (n_i+1) log H(x_i) - log rho, refined until
     the sign is decided or the equality threshold is reached."""
     require_valid(F, E)
@@ -293,7 +297,7 @@ def _halve(iv: Interval) -> Interval:
 
 
 def verify_corollary(instance: CorollaryInstance, precision: int = 128,
-                     cap: int = 64) -> Verdict:
+                     cap: int = DEFAULT_DEGREE_CAP) -> Verdict:
     """Validates sum alpha_i = N exactly (the zero-set gate), then certifies
     sum log h(alpha_i) >= (1/2) log((1+sqrt5)/2) through the theorem on the
     point with blocks (1, alpha_i).  All reported quantities are on the
@@ -335,7 +339,7 @@ class SchinzelResult:
 
 
 def schinzel_check(alpha: AlgebraicNumber, precision: int = 128,
-                   cap: int = 64) -> SchinzelResult:
+                   cap: int = DEFAULT_DEGREE_CAP) -> SchinzelResult:
     """log h(alpha) >= (1/2) log((1+sqrt5)/2) for totally real algebraic
     integers outside {0, +-1}; anything else is reported not-applicable."""
     alpha = as_algebraic(alpha)
@@ -358,18 +362,12 @@ def schinzel_check(alpha: AlgebraicNumber, precision: int = 128,
 # deterministic batch verification
 
 
-def _batch_worker(args):
-    alphas_data, n_data, precision = args
-    # instances arrive as already-constructed objects under fork; pickled fine
-    inst = CorollaryInstance(alphas_data, n_data)
-    return verify_corollary(inst, precision)
-
-
 def verify_corollary_batch(instances, precision: int = 128, jobs: int = 1) -> list[Verdict]:
     """Order-preserving batch verification; results are independent of jobs."""
-    work = [(inst.alphas, inst.n_value, precision) for inst in instances]
-    jobs = min(jobs, len(work))  # a worker per instance at most
+    instances = list(instances)
+    worker = functools.partial(verify_corollary, precision=precision)
+    jobs = min(jobs, len(instances))  # a worker per instance at most
     if jobs <= 1:
-        return [_batch_worker(w) for w in work]
+        return [worker(inst) for inst in instances]
     with multiprocessing.Pool(jobs) as pool:
-        return pool.map(_batch_worker, work)
+        return pool.map(worker, instances)

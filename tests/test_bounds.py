@@ -154,6 +154,45 @@ class TestLambdaBound:
             assert max(abs(diff.lo), abs(diff.hi)) <= Fraction(1, 10**6)
 
 
+# optimal_b(delta, C, bits=56) as computed when the b-weight bound had its own
+# x log x pieces and derivative: (b, bracket lo, bracket hi)
+FROZEN_OPTIMA = {
+    (1, 1): ("240095971/536870912", "240095969/536870912", "120047987/268435456"),
+    (Fraction(1, 2), 2): ("43141479/134217728", "21570739/67108864", "43141481/134217728"),
+    (Fraction(3, 2), 5): ("12162783/134217728", "72976697/805306368", "18244175/201326592"),
+    (2, 3): ("1/8", "134217727/1073741824", "67108865/536870912"),
+    (0, 2): ("1/2", "67108863/134217728", "67108865/134217728"),
+    (0, 5): ("1/8", "131071/1048576", "67108865/536870912"),
+}
+
+
+class TestSharedObjective:
+    """The b-weight bound is the segment objective at alpha = delta, beta = 2,
+    gamma = C, with u = b and v = (1 - delta b)/2."""
+
+    @pytest.mark.parametrize("dlt, cf", list(FROZEN_OPTIMA))
+    def test_optimum_frozen(self, dlt, cf):
+        ob = optimal_b(dlt, cf, bits=56)
+        b, lo, hi = (Fraction(x) for x in FROZEN_OPTIMA[dlt, cf])
+        assert ob.b == b
+        assert (ob.bracket.lo, ob.bracket.hi) == (lo, hi)
+        assert ob.interior
+
+    @pytest.mark.parametrize("cf", (2, 3, 5))
+    def test_delta_zero_optimum(self, cf):
+        # R'(b) = ln(2bC/(1 + 2b)) vanishes at b = 1/(2(C-1)), where
+        # R = -(1/2) ln(C/(C-1)) = -log rho(C, 0)
+        ob = optimal_b(0, cf, bits=56)
+        assert ob.bracket.contains(Fraction(1, 2 * (cf - 1)))
+        _, log_rho = rho(cf, 0)
+        assert ob.bound.intersects(-log_rho)
+
+    @pytest.mark.parametrize("dlt, cf", ((1, 1), (Fraction(1, 2), 3), (2, 5)))
+    def test_optimum_meets_segment_min(self, dlt, cf):
+        ob = optimal_b(dlt, cf, bits=48)
+        assert ob.bound.intersects(segment_min(dlt, 2, cf, bits=48).value)
+
+
 class TestXiPeak:
     def test_formula(self):
         xi0, _ = xi_peak(1, 1, 1)

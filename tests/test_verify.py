@@ -247,7 +247,9 @@ class TestHypothesisGate:
         results = check_hypotheses(F, E, point, cap=2)
         assert [h.name for h in results if h.passed] == [
             "zero-set", "coordinates-nonzero", "reciprocal-nonzero"]
-        assert 4096 in rungs
+        # the ladder starts at 128: the 64-bit rung is `_vanishes`'s own
+        # test, and the reciprocal gate is decided by it
+        assert rungs == [64, 128, 256, 512, 1024, 2048, 4096, 64]
 
     def test_near_miss_reciprocal_decided_exactly(self):
         # alpha = sqrt(1 + 2^-100): F(x^-1) = 1/alpha - alpha = -2^-100/alpha
@@ -457,6 +459,14 @@ class TestBatch:
         assert recording_pool == [2]
         assert verify_corollary_batch(insts[:1], 128, jobs=100000)[0].status == par[0].status
         assert recording_pool == [2]  # a single instance runs in this process
+
+    def test_generator_input(self, golden, recording_pool):
+        insts = [CorollaryInstance([golden], golden),
+                 CorollaryInstance([as_algebraic(2)], as_algebraic(2))]
+        expect = [v.status for v in verify_corollary_batch(insts, 128)]
+        par = verify_corollary_batch((inst for inst in insts), 128, jobs=4)
+        assert [v.status for v in par] == expect
+        assert recording_pool == [2]
 
 
 class TestManyModularFactors:
