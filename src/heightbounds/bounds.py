@@ -12,14 +12,15 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import ceil, floor
 
 from .algebraic import AlgebraicNumber
 from .forms import (ExceptionalSet, MultihomogeneousPolynomial, c_max, c_value,
                     degree_data, delta, require_valid)
-from .intervals import Interval, exp_interval, ln_fraction, log_interval, xlogx_interval
+from .intervals import (Interval, exp_fraction, exp_interval, ln_fraction, log_interval,
+                        xlogx_interval)
 from .polys import IntPolynomial
-from .roots import RootBox, refine_real_box
+from .roots import RootBox
 
 
 class ThresholdError(ValueError):
@@ -28,22 +29,6 @@ class ThresholdError(ValueError):
 
 # ---------------------------------------------------------------------------
 # the exact threshold rho
-
-
-_UNIT = RootBox(Interval(Fraction(0), Fraction(1)))
-
-
-def _cleared(a: int, b: int, gamma: Fraction) -> IntPolynomial:
-    """gamma^-1 w^a + w^b - 1 cleared to integer coefficients; it increases
-    on (0, 1), so the sign change there isolates its one root in [0, 1]."""
-    coeffs = [0] * (max(a, b) + 1)
-    coeffs[0] -= gamma.numerator
-    coeffs[a] += gamma.denominator
-    coeffs[b] += gamma.numerator
-    h = IntPolynomial(coeffs)
-    if h.sign_at(0) >= 0 or h.sign_at(1) <= 0:
-        raise ThresholdError("no sign change on (0, 1)")
-    return h
 
 
 @lru_cache(maxsize=32)
@@ -66,7 +51,10 @@ def rho(c_f: int, dlt, bits: int = 128) -> tuple[AlgebraicNumber, Interval]:
         raise ThresholdError(
             "delta = 0 requires C_F > 1 for a root larger than 1 to exist")
     p, q = dlt.numerator, dlt.denominator
-    w = AlgebraicNumber.from_root(_cleared(p, 2 * q, Fraction(c_f)), _UNIT)
+    coeffs = [-c_f] + [0] * max(p, 2 * q)
+    coeffs[p] += 1
+    coeffs[2 * q] += c_f
+    w = AlgebraicNumber.from_root(IntPolynomial(coeffs), RootBox(Interval(0, 1)))
     value = w.pow(q).inv()
     # sanity: rho > 1 and the defining equation holds on the enclosure
     if value.sub(AlgebraicNumber.one()).sign() <= 0:
@@ -174,23 +162,38 @@ class SegmentMinSolution:
 
 def threshold_root(alpha: Fraction, beta: Fraction, gamma: Fraction,
                    bits: int = 96) -> Interval:
-    """Enclosure of the root > 1 of gamma^-1 x^-alpha + x^-beta = 1, via
-    sign-change and interval-Newton refinement of the root w in (0, 1) of the
-    integer-cleared equation in w = x^(-1/Q); nothing is factored or isolated."""
-    qa, qb = alpha.denominator, beta.denominator
-    big_q = qa * qb // gcd(qa, qb)
-    a = alpha.numerator * (big_q // qa)
-    b = beta.numerator * (big_q // qb)
-    w = refine_real_box(_cleared(a, b, gamma), _UNIT,
-                        Fraction(1, 1 << (bits + max(a, b).bit_length() + 8))).re
-    return w.inverse().pow_int(big_q)
+    """Enclosure, of relative width at most 2^-bits, of the root > 1 of
+    gamma^-1 x^-alpha + x^-beta = 1.  In t = ln x, g(t) = gamma^-1 e^(-alpha t)
+    + e^(-beta t) - 1 is convex and falls from 1/gamma towards -1, so a Newton
+    step from where g > 0 stays at or below the root and the chord across a
+    bracket meets 0 at or above it.  The working precision covers the slope
+    -g'(t) >= min(alpha, beta) at the root."""
+    work = bits + 32 + ceil(1 / min(alpha, beta)).bit_length()
+    scale = 1 << (bits + 16)
 
+    def g(t: Fraction) -> tuple[Interval, Interval]:  # enclosures of g(t) and -g'(t)
+        ea = exp_fraction(-alpha * t, work) / gamma
+        eb = exp_fraction(-beta * t, work)
+        return ea + eb - 1, ea * alpha + eb * beta
 
-def _intersect_enclosures(a: Interval, b: Interval) -> Interval:
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo > hi:  # both enclose the true range, so this is rounding noise
-        return a
-    return Interval(lo, hi)
+    lo, hi, steps = Fraction(0), Fraction(1), 0
+    if g(lo)[0].lo <= 0:
+        raise ThresholdError("g(0) is not certified positive")
+    while g(hi)[0].hi >= 0:  # double until g is certified negative there
+        hi, steps = 2 * hi, steps + 1
+    while hi - lo > Fraction(1, 1 << (bits + 8)):
+        steps += 1
+        (g_lo, slope), (g_hi, _) = g(lo), g(hi)
+        # Newton from the left; where g(lo) is not certified positive it is no step
+        new_lo = max(lo, Fraction(floor((lo + g_lo.lo / slope.hi) * scale), scale))
+        new_hi = hi
+        if g_hi.hi < 0:  # the chord, with g(lo) >= 0 > g(hi)
+            chord = lo + (hi - lo) * g_lo.hi / (g_lo.hi - g_hi.hi)
+            new_hi = min(hi, Fraction(ceil(chord * scale), scale))
+        if (new_lo, new_hi) == (lo, hi) or steps > bits + 64:
+            raise ThresholdError("threshold root did not converge")
+        lo, hi = new_lo, new_hi
+    return exp_interval(Interval(lo, hi), work)
 
 
 def _segment_objective(alpha: Fraction, beta: Fraction, gamma: Fraction, work: int):
@@ -227,7 +230,7 @@ def _segment_objective(alpha: Fraction, beta: Fraction, gamma: Fraction, work: i
                - log_interval(s_iv, work) * (1 - ab))
         m = u_iv.mid
         centered = naive(Interval(m)) + dfu * (u_iv - m)
-        return _intersect_enclosures(out, centered)
+        return out.intersect(centered)
 
     return naive, objective
 
@@ -290,6 +293,8 @@ def optimal_b(dlt, c_f, bits: int = 60) -> OptimalWeight:
     dlt = Fraction(dlt)
     if dlt < 0:
         raise ThresholdError("delta must be nonnegative")
+    if dlt == 0 and Fraction(c_f) <= 1:
+        raise ThresholdError("delta = 0 requires C_F > 1 for the bound to have a minimum")
     # for delta = 0 the objective grows like b*log C eventually
     hi = 1 / dlt if dlt else Fraction(64)
     _, objective = _segment_objective(dlt, Fraction(2), Fraction(c_f), bits + 56)

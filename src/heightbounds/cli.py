@@ -108,12 +108,9 @@ def parse_algnum(text: str) -> AlgebraicNumber:
 
 
 def _emit(doc: dict, fmt: str, headline: str = ""):
-    if fmt == "text":
-        if headline:
-            print(headline)
-        print(jsonio.dumps(doc))
-    else:
-        print(jsonio.dumps(doc))
+    if fmt == "text" and headline:
+        print(headline)
+    print(jsonio.dumps(doc))
 
 
 def _verdict_exit(status: str) -> int:

@@ -218,9 +218,7 @@ def verdict_to_json(v: Verdict) -> dict:
 
 
 def constants_to_json(bc: BoundConstants) -> dict:
-    approx, pm = decimal_midpoint(
-        Interval(bc.rho.box(Fraction(1, 1 << 64)).re.lo,
-                 bc.rho.box(Fraction(1, 1 << 64)).re.hi), max_digits=12)
+    approx, pm = decimal_midpoint(bc.rho.box(Fraction(1, 1 << 64)).re, max_digits=12)
     return {
         "d_ij": [list(row) for row in bc.d_ij],
         "d_tilde": list(bc.d_tilde),

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -6,8 +8,9 @@ from heightbounds.bounds import (ThresholdError, bound_constants, lambda_bound,
                                  optimal_b, rho, segment_min, threshold_root,
                                  xi_peak)
 from heightbounds.forms import ExceptionalSet
-from heightbounds.intervals import Interval, ln_fraction
-from heightbounds.polys import parse_polynomial
+from heightbounds.intervals import Interval, exp_interval, ln_fraction, log_interval
+from heightbounds.polys import IntPolynomial, parse_polynomial
+from heightbounds.roots import RootBox, refine_real_box
 from heightbounds.verify import build_sum_form
 
 from conftest import LN_PHI, PHI, run_with_deadline
@@ -187,6 +190,12 @@ class TestSharedObjective:
         _, log_rho = rho(cf, 0)
         assert ob.bound.intersects(-log_rho)
 
+    def test_delta_zero_needs_cf_above_one(self):
+        # with C = 1 the objective decreases without bound, as rho(1, 0) has
+        # no root > 1
+        with pytest.raises(ThresholdError):
+            optimal_b(0, 1)
+
     @pytest.mark.parametrize("dlt, cf", ((1, 1), (Fraction(1, 2), 3), (2, 5)))
     def test_optimum_meets_segment_min(self, dlt, cf):
         ob = optimal_b(dlt, cf, bits=48)
@@ -263,6 +272,23 @@ class TestExactDeterminism:
         assert a1.b == a2.b and a1.bound == a2.bound
 
 
+def reference_threshold_root(alpha, beta, gamma, bits):
+    """The cleared-polynomial method, kept as a reference: with Q the lcm of
+    the exponents' denominators, clear gamma^-1 x^-alpha + x^-beta = 1 in
+    w = x^(-1/Q) to an integer polynomial and refine its root in (0, 1)."""
+    big_q = lcm(alpha.denominator, beta.denominator)
+    a = alpha.numerator * (big_q // alpha.denominator)
+    b = beta.numerator * (big_q // beta.denominator)
+    coeffs = [0] * (max(a, b) + 1)
+    coeffs[0] -= gamma.numerator
+    coeffs[a] += gamma.denominator
+    coeffs[b] += gamma.numerator
+    eps = Fraction(1, 1 << (bits + max(a, b).bit_length() + 8))
+    unit = RootBox(Interval(Fraction(0), Fraction(1)))
+    w = refine_real_box(IntPolynomial(coeffs), unit, eps).re
+    return w.inverse().pow_int(big_q)
+
+
 class TestThresholdRoot:
     def test_matches_alg_rho(self):
         for dlt, cf in ((1, 1), (2, 1), (1, 2), (Fraction(1, 5), 1), (Fraction(3, 7), 1)):
@@ -287,9 +313,33 @@ class TestThresholdRoot:
             assert out.split() == ["True", "True"], dlt
 
     def test_high_degree_cleared_equation(self):
-        # x^-1 + x^-301 = 1 clears to w + w^301 = 1: refined at degree 301,
-        # with no factoring or isolation of the cleared polynomial
+        # x^-1 + x^-301 = 1, whose cleared form w + w^301 = 1 has degree 301:
+        # the root is found in t = ln x, with no polynomial built
         iv = threshold_root(Fraction(1), Fraction(301), Fraction(1), bits=64)
         assert iv.width < Fraction(1, 1 << 60)
         inv = iv.inverse()
         assert (inv + inv.pow_int(301)).contains(1)
+
+    def test_meets_cleared_reference(self):
+        rng = random.Random(20261021)
+        for _ in range(100):
+            alpha = Fraction(rng.randint(1, 12), rng.randint(1, 7))
+            beta = Fraction(rng.randint(1, 12), rng.randint(1, 7))
+            gamma = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+            bits = rng.choice((48, 64, 96, 128))
+            iv = threshold_root(alpha, beta, gamma, bits)
+            case = (alpha, beta, gamma, bits)
+            assert iv.intersects(reference_threshold_root(alpha, beta, gamma, bits)), case
+            assert iv.width <= iv.lo / (1 << bits), case
+
+    def test_small_delta_finishes(self):
+        # delta = 1/1000 clears to degree 2001
+        out = run_with_deadline(
+            "from fractions import Fraction\n"
+            "from heightbounds.bounds import threshold_root\n"
+            "iv = threshold_root(Fraction(1, 1000), Fraction(2), Fraction(1), bits=80)\n"
+            "print(iv.lo, iv.hi)\n", 5)
+        iv = Interval(*(Fraction(x) for x in out.split()))
+        assert iv.width <= iv.lo / (1 << 80)
+        x_delta = exp_interval(-log_interval(iv, 100) / 1000, 100)  # x^(-1/1000)
+        assert (x_delta + iv.pow_int(-2) - 1).contains(0)
