@@ -8,10 +8,12 @@ lead the canonical order and are isolated on their own, and the non-real
 ones are certified only when a non-real conjugate or an enclosure off the
 real axis needs them.  Sums, products and powers go through
 the composed sum, product or power of the minimal polynomials, built from
-power sums by Newton's identities in integers, and factored; one routine,
-`_select`, picks the factor and conjugate against enclosures of the value
-along one fixed schedule of widths, `_WIDTHS`.  Rational operands take
-direct shift/scale paths, which isolate nothing.
+power sums by Newton's identities in integers, and split into squarefree
+parts; one routine, `_select`, picks the factor and conjugate against
+enclosures of the value along one fixed schedule of widths, `_WIDTHS`,
+dropping the parts that cannot hold the value before it factors what is
+left.  Rational operands take direct shift/scale paths, which isolate
+nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
 
-from .factor import factor_over_rationals
+from .factor import _factorization, squarefree_decomposition
 from .intervals import Interval, Rect, poly_eval_rect, rect_inverse
 from .polys import IntPolynomial, PolynomialError, count_real_roots
 from .roots import RootBox, isolate_real_roots, isolate_roots, refine_box
@@ -156,8 +158,7 @@ class AlgebraicNumber:
         unless exactly one root of poly can lie in the box."""
         if poly.degree < 1:
             raise PolynomialError("need degree >= 1")
-        root = _select([g for g, _ in factor_over_rationals(poly)], lambda eps: box,
-                       encloses=False)
+        root = _select(poly, lambda eps: box, encloses=False)
         self.minpoly, self._base, self._index, self._scale, self._shift = (
             root.minpoly, root._base, root._index, root._scale, root._shift)
 
@@ -270,7 +271,7 @@ class AlgebraicNumber:
         polynomial."""
         if self._base == self.minpoly and self._scale == 1 and self._shift == 0:
             return self._index
-        return _select([self.minpoly], self.box)._index
+        return _select(self.minpoly, self.box, irreducible=True)._index
 
     def is_totally_real(self) -> bool:
         return count_real_roots(self.minpoly) == self.degree
@@ -315,8 +316,8 @@ class AlgebraicNumber:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return AlgebraicNumber.from_rational(1 / self.as_fraction())
-        return _select([self.minpoly.reverse().canonical()],
-                       lambda eps: rect_inverse(self._box_off_zero(eps)))
+        return _select(self.minpoly.reverse().canonical(),
+                       lambda eps: rect_inverse(self._box_off_zero(eps)), irreducible=True)
 
     def add(self, other: "AlgebraicNumber", cap: int = DEFAULT_DEGREE_CAP) -> "AlgebraicNumber":
         if self.is_rational():
@@ -325,8 +326,7 @@ class AlgebraicNumber:
             return self._add_rational(other.as_fraction())
         _check_cap(self.degree * other.degree, cap)
         res = _resultant_sum(self.minpoly, other.minpoly)
-        return _select([g for g, _ in factor_over_rationals(res)],
-                       lambda eps: self.box(eps) + other.box(eps))
+        return _select(res, lambda eps: self.box(eps) + other.box(eps))
 
     __add__ = add
 
@@ -342,8 +342,7 @@ class AlgebraicNumber:
             return self._mul_rational(other.as_fraction())
         _check_cap(self.degree * other.degree, cap)
         res = _resultant_product(self.minpoly, other.minpoly)
-        return _select([g for g, _ in factor_over_rationals(res)],
-                       lambda eps: self.box(eps) * other.box(eps))
+        return _select(res, lambda eps: self.box(eps) * other.box(eps))
 
     __mul__ = mul
 
@@ -365,8 +364,7 @@ class AlgebraicNumber:
             return AlgebraicNumber.from_rational(self.as_fraction() ** n)
         f = self.minpoly
         res = _from_power_sums(_power_sums(f, f.degree * n)[::n], f.lead ** n)
-        return _select([g for g, _ in factor_over_rationals(res)],
-                       lambda eps: reduce(Rect.__mul__, [self.box(eps)] * n))
+        return _select(res, lambda eps: reduce(Rect.__mul__, [self.box(eps)] * n))
 
     def _add_rational(self, q: Fraction) -> "AlgebraicNumber":
         if q == 0:
@@ -440,31 +438,49 @@ def _check_cap(composite_degree: int, cap: int):
 # factor selection
 
 
-def _select(factors: list[IntPolynomial], value, encloses: bool = True) -> AlgebraicNumber:
-    """The unique (factor, conjugate) that the value enclosure singles out.
+def _select(f: IntPolynomial, value, encloses: bool = True,
+            irreducible: bool = False) -> AlgebraicNumber:
+    """The unique (irreducible factor of f, conjugate) that the value
+    enclosure singles out.
 
     `value(eps)` is a Rect around the number, about eps wide (eps None: the
-    isolating boxes).  Along `_WIDTHS`, while two or more factors are left,
-    those that do not vanish on the enclosure are dropped; once one factor
-    is left, or at the last width, the conjugates that can lie in the
-    enclosure are counted.  `encloses` is False for a box given as input,
-    which is fixed and so counted once, and which may hold no root: there a
-    lone conjugate not yet certified inside counts only after a sign change
-    on the real interval, or when it is still undecided at the last width."""
+    isolating boxes).  Unless f is known to be irreducible, the candidates
+    start as the squarefree parts of f, which are factored only once one
+    part is left, at the last width, or at once for a fixed box.  Along
+    `_WIDTHS`, while two or more candidates are left, those that do not
+    vanish on the enclosure are dropped: a part that cannot hold the value
+    is never factored.  Once one factor is left, or at the last width, the
+    conjugates that can lie in the enclosure are counted.  `encloses` is
+    False for a box given as input, which is fixed and so counted once, and
+    which may hold no root: there a lone conjugate not yet certified inside
+    counts only after a sign change on the real interval, or when it is
+    still undecided at the last width."""
+    polys = [f] if irreducible else [g for g, _ in squarefree_decomposition(f)]
     hits: list[tuple[IntPolynomial, int]] = []
     for eps in _WIDTHS:
         rect = value(eps)
-        if len(factors) > 1:
-            factors = [g for g in factors if poly_eval_rect(g.coeffs, rect).contains_zero()]
-        if len(factors) < 2 or not encloses or eps is _WIDTHS[-1]:
-            hits = [(g, i) for g in factors for i in _conjugates_in(
-                g, rect, encloses and len(factors) == 1 or _holds_root(g, rect))]
-            if len(hits) < 2 or not encloses:
-                break
+        narrowing = encloses and eps is not _WIDTHS[-1]  # a later width can drop more
+        polys = _vanishing(polys, rect)
+        if not irreducible and not (narrowing and len(polys) > 1):
+            polys = _vanishing([g for p in polys for g, _ in _factorization(p, True)], rect)
+            irreducible = True
+        if narrowing and len(polys) > 1:
+            continue
+        hits = [(g, i) for g in polys for i in _conjugates_in(
+            g, rect, encloses and len(polys) == 1 or _holds_root(g, rect))]
+        if len(hits) < 2 or not encloses:
+            break
     if len(hits) != 1:
         raise SelectionError("the enclosure can hold %d roots, not one" % len(hits))
     g, i = hits[0]
     return _number(g, g, i)
+
+
+def _vanishing(polys: list[IntPolynomial], rect: Rect) -> list[IntPolynomial]:
+    """The polys whose enclosure on rect holds 0; a lone one is kept."""
+    if len(polys) < 2:
+        return polys
+    return [g for g in polys if poly_eval_rect(g.coeffs, rect).contains_zero()]
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,11 @@ def threshold_root(alpha: Fraction, beta: Fraction, gamma: Fraction,
     lo, hi, steps = Fraction(0), Fraction(1), 0
     if g(lo)[0].lo <= 0:
         raise ThresholdError("g(0) is not certified positive")
-    while g(hi)[0].hi >= 0:  # double until g is certified negative there
+    limit = Fraction(1 << 20) / max(alpha, beta, 1)  # past it exp_fraction refuses
+    while hi <= limit and g(hi)[0].hi >= 0:  # double until g is certified negative there
         hi, steps = 2 * hi, steps + 1
+    if hi > limit:
+        raise ThresholdError("threshold root lies past e^(2^20)")
     while hi - lo > Fraction(1, 1 << (bits + 8)):
         steps += 1
         (g_lo, slope), (g_hi, _) = g(lo), g(hi)

@@ -1,8 +1,10 @@
 """Factorization of integer polynomials over the rationals.
 
-Pipeline: content/primitive split, a squarefree test modulo one small
-prime (only inputs that fail it go on to Yun's squarefree decomposition
-over Z), then for each squarefree part a Zassenhaus round.  At each small
+Pipeline: content/primitive split, x^k split off, a squarefree test
+modulo one small prime (only inputs that fail it go on to Yun's
+squarefree decomposition over Z), then for each squarefree part a
+Zassenhaus round.  `algebraic` takes the squarefree parts alone and
+factors only the parts that can hold the number it selects.  At each small
 prime the size of the Berlekamp basis counts the factors mod p; the rows
 x^(ip) mod f come by shifting.  The prime with the fewest factors is
 chosen and f is split there only.  The factors are
@@ -10,8 +12,8 @@ Hensel-lifted as ascending residue lists straight to a Mignotte-sized
 modulus p^l, through the exponents ceil(l/2^k), and recombined by subset
 search, with a polynomial over Z built only for each candidate.
 Exponential recombination is fine at the degrees this package targets
-(<= ~64; practical inputs stay below ~30).  The last 4096 factorizations
-are memoized.
+(<= ~64; practical inputs stay below ~30).  The last 4096 factorizations,
+of polynomials or of squarefree parts, are memoized.
 """
 
 from __future__ import annotations
@@ -401,19 +403,27 @@ def factor_squarefree_primitive(f: IntPolynomial) -> list[IntPolynomial]:
 
 
 def squarefree_decomposition(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun decomposition of a primitive f: list of (squarefree part, multiplicity).
+    """The canonical squarefree parts of a nonzero f with their multiplicities.
 
-    f is first reduced modulo the first odd prime p not dividing its lead.
-    If f = g^2 h then g keeps its degree mod p, so f squarefree mod p is
-    squarefree over Q and skips Yun's gcds over Z."""
+    x^k is split off first.  The rest is reduced modulo the first odd prime
+    p not dividing its lead: if it is g^2 h then g keeps its degree mod p,
+    so squarefree mod p means squarefree over Q and skips Yun's gcds over Z."""
+    if f.is_zero():
+        raise PolynomialError("cannot factor the zero polynomial")
+    f = f.canonical()
+    k = next(i for i, c in enumerate(f.coeffs) if c)
+    out = []
+    if k:
+        out, f = [(IntPolynomial([0, 1]), k)], IntPolynomial(f.coeffs[k:])
+    if f.degree < 1:
+        return out
     p = next((q for q in _odd_primes() if f.lead % q), None)
     if p is not None and gf_is_squarefree(gf_from_poly(f, p), p):
-        return [(f.canonical(), 1)]
-    out = []
+        return out + [(f, 1)]
     g = poly_gcd(f, f.derivative())
     if g.degree == 0:
-        return [(f.canonical(), 1)]
-    w = f.canonical().exact_div(g)
+        return out + [(f, 1)]
+    w = f.exact_div(g)
     mult = 1
     while w.degree >= 1:
         y = poly_gcd(w, g)
@@ -441,24 +451,12 @@ def factor_over_rationals(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
 
 
 @lru_cache(maxsize=4096)
-def _factorization(f: IntPolynomial) -> tuple[tuple[IntPolynomial, int], ...]:
-    if f.is_zero():
-        raise PolynomialError("cannot factor the zero polynomial")
-    if f.degree == 0:
-        return ()
-    work = f.canonical()
-    out: list[tuple[IntPolynomial, int]] = []
-    # pull off powers of x first (frequent in practice, cheap)
-    k = 0
-    while work.coeffs[0] == 0:
-        work = IntPolynomial(work.coeffs[1:])
-        k += 1
-    if k:
-        out.append((IntPolynomial([0, 1]), k))
-    if work.degree >= 1:
-        for part, mult in squarefree_decomposition(work):
-            for irr in factor_squarefree_primitive(part):
-                out.append((irr.canonical(), mult))
+def _factorization(f: IntPolynomial,
+                   squarefree: bool = False) -> tuple[tuple[IntPolynomial, int], ...]:
+    """The sorted factorization of f, or of a part that `squarefree_decomposition`
+    returned (`squarefree`), which is factored without decomposing it again."""
+    parts = [(f, 1)] if squarefree else squarefree_decomposition(f)
+    out = [(g, mult) for part, mult in parts for g in factor_squarefree_primitive(part)]
     return tuple(sorted(out, key=lambda t: (t[0].degree, t[0].coeffs)))
 
 

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from heightbounds.algebraic import (AlgebraicNumber, DegreeCapExceeded, _from_power_sums,
-                                    _isolated, _power_sums, _resultant_product,
-                                    _resultant_sum, as_algebraic)
+from heightbounds import algebraic, factor
+from heightbounds.algebraic import (_WIDTHS, AlgebraicNumber, DegreeCapExceeded, SelectionError,
+                                    _conjugates_in, _from_power_sums, _holds_root, _isolated,
+                                    _power_sums, _resultant_product, _resultant_sum,
+                                    as_algebraic, conjugate_box)
 from heightbounds.factor import factor_over_rationals
-from heightbounds.intervals import Interval, Rect
+from heightbounds.intervals import Interval, Rect, poly_eval_rect
 from heightbounds.polys import IntPolynomial, parse_polynomial
 
 from conftest import alg, run_with_deadline
@@ -352,3 +354,136 @@ class TestCloseRoots:
             "s = a.add(b)\n"
             "assert s.minpoly == P('8x^6+80x^5+332x^4+704x^3+774x^2+332x-23')\n"
             "assert s.sub(b).equals(a)\n")
+
+
+def eager_select(f, value, encloses=True, irreducible=False):
+    """`algebraic._select` as it was before squarefree parts were filtered,
+    frozen: every irreducible factor of f first, then the same schedule.
+    Returns (minimal polynomial, root index)."""
+    factors = [f] if irreducible else [g for g, _ in factor_over_rationals(f)]
+    hits = []
+    for eps in _WIDTHS:
+        rect = value(eps)
+        if len(factors) > 1:
+            factors = [g for g in factors if poly_eval_rect(g.coeffs, rect).contains_zero()]
+        if len(factors) < 2 or not encloses or eps is _WIDTHS[-1]:
+            hits = [(g, i) for g in factors for i in _conjugates_in(
+                g, rect, encloses and len(factors) == 1 or _holds_root(g, rect))]
+            if len(hits) < 2 or not encloses:
+                break
+    if len(hits) != 1:
+        raise SelectionError("the enclosure can hold %d roots, not one" % len(hits))
+    return hits[0]
+
+
+class TestSelectBeforeFactoring:
+    """`_select` drops the squarefree parts whose enclosure excludes 0 and
+    factors only what is left; it selects what factoring everything first
+    selected."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Routes every `_select` call through both paths and compares them;
+        the list it returns collects each polynomial selected from."""
+        real, calls = algebraic._select, []
+
+        def both(f, value, encloses=True, irreducible=False):
+            calls.append(f)
+            try:
+                ref = eager_select(f, value, encloses, irreducible)
+            except SelectionError:
+                with pytest.raises(SelectionError):
+                    real(f, value, encloses, irreducible)
+                raise
+            got = real(f, value, encloses, irreducible)
+            assert (got.minpoly, got._index) == ref, f
+            return got
+        monkeypatch.setattr(algebraic, "_select", both)
+        return calls
+
+    def test_round_trip_factors_no_composite_part(self, monkeypatch):
+        # (a+b)-b for cubics: the composed sum has degree 27, minpoly(a)^3
+        # times a degree-18 part with roots a_k + b_i - b_j (i != j), which
+        # the enclosure of the value excludes before it would be factored
+        real = factor.factor_squarefree_primitive
+
+        def small_only(f):
+            if f.degree > 9:
+                raise AssertionError("factored a part of degree %d" % f.degree)
+            return real(f)
+        monkeypatch.setattr(factor, "factor_squarefree_primitive", small_only)
+        factor._factorization.cache_clear()
+        a, b = alg("x^3+2*x^2-x+5", 0), alg("x^3-4*x+1", 2)
+        s = a + b
+        assert _resultant_sum(s.minpoly, b.neg().minpoly).degree == 27
+        assert (s - b).equals(a)
+
+    def test_round_trips_finish(self):
+        run_with_deadline(
+            "import random\n"
+            "from heightbounds.algebraic import AlgebraicNumber, _isolated\n"
+            "from heightbounds.factor import is_irreducible\n"
+            "from heightbounds.polys import IntPolynomial\n"
+            "rng = random.Random(27)\n"
+            "done = 0\n"
+            "while done < 12:\n"
+            "    a, b = (IntPolynomial([rng.randint(-5, 5) for _ in range(3)] + [1])\n"
+            "            for _ in range(2))\n"
+            "    if not (is_irreducible(a) and is_irreducible(b)):\n"
+            "        continue\n"
+            "    x, y = (AlgebraicNumber(f, rng.choice(_isolated(f))) for f in (a, b))\n"
+            "    assert ((x + y) - y).equals(x) and ((x * y) / y).equals(x)\n"
+            "    done += 1\n", seconds=15)
+
+    def test_matches_eager_on_seeded_operands(self, checked):
+        rng = random.Random(2210)
+        numbers = []
+        while len(numbers) < 12:
+            f = IntPolynomial([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+                              + [rng.randint(1, 3)])
+            g = rng.choice([g for g, _ in factor_over_rationals(f)] or [P("x-1")])
+            if g.degree >= 2:
+                numbers.append(AlgebraicNumber(g, rng.choice(_isolated(g))))
+        for a, b in zip(numbers[::2], numbers[1::2]):
+            assert ((a + b) - b).equals(a)
+            assert ((a * b) / b).equals(a)
+            assert a.pow(3).equals(a.pow(2) * a)
+            assert b.inv().inv().equals(b)
+        assert len(checked) > 30
+
+    def test_matches_eager_on_repeated_parts(self, checked, sqrt2):
+        other = alg("x^2-2", 0)
+        assert sqrt2.pow(2).as_fraction() == 2               # (x-2)^2
+        assert (sqrt2 * other).as_fraction() == -2           # (x+2)^2 (x-2)^2
+        assert (sqrt2 + sqrt2).minpoly == P("x^2-8")         # x^2 (x^2-8)
+        assert (sqrt2 + other).is_zero()                     # the x^2 part itself
+        i = alg("x^2+1", 1)
+        assert (i * i).as_fraction() == -1                   # (x+1)^2 (x-1)^2
+        assert P("x^4-8*x^2") in checked
+
+    @pytest.mark.parametrize("parts, lo, hi, minpoly", [
+        ((("x^2-x-1", 2), ("x-5", 1)), "3/2", "2", "x^2-x-1"),
+        ((("x", 3), ("x^2-2", 1)), "1", "3/2", "x^2-2"),
+        ((("x", 3), ("x^2-2", 1)), "-1/4", "1/4", "x"),
+        ((("x^2-2", 2), ("x^2-3", 1), ("x^3-x-1", 1)), "13/10", "27/20", "x^3-x-1"),
+    ])
+    def test_matches_eager_on_constructor_inputs(self, checked, parts, lo, hi, minpoly):
+        f = IntPolynomial([1])
+        for text, m in parts:
+            f = f * P(text) ** m
+        box = Rect(Interval(Fraction(lo), Fraction(hi)), Interval(0))
+        assert AlgebraicNumber(f, box).minpoly == P(minpoly)
+        assert len(checked) == 1
+
+    def test_matches_eager_on_seeded_constructor_inputs(self, checked):
+        rng = random.Random(5)
+        for _ in range(40):
+            parts = [IntPolynomial([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] + [1])
+                     for _ in range(rng.randint(1, 3))]
+            f = IntPolynomial([0, 1]) ** rng.randint(0, 2)
+            for g in parts:
+                f = f * g ** rng.randint(1, 2)
+            g = rng.choice([g for g, _ in factor_over_rationals(f)])
+            box = conjugate_box(g, rng.randrange(g.degree), Fraction(1, 1 << rng.randint(0, 12)))
+            assert AlgebraicNumber(f, box).minpoly == g
+        assert len(checked) == 40

@@ -332,6 +332,14 @@ class TestThresholdRoot:
             assert iv.intersects(reference_threshold_root(alpha, beta, gamma, bits)), case
             assert iv.width <= iv.lo / (1 << bits), case
 
+    @pytest.mark.parametrize("alpha, beta, gamma", [
+        (Fraction(1, 10**5), Fraction(1, 10**5), Fraction(1, 10**5)),  # root near e^(1.15e6)
+        (Fraction(1 << 21), Fraction(1 << 21), Fraction(1, 2)),        # alpha * 1 past 2^20
+    ])
+    def test_past_exp_range_raises_threshold_error(self, alpha, beta, gamma):
+        with pytest.raises(ThresholdError):
+            threshold_root(alpha, beta, gamma, 64)
+
     def test_small_delta_finishes(self):
         # delta = 1/1000 clears to degree 2001
         out = run_with_deadline(
