@@ -23,6 +23,7 @@ from functools import lru_cache, reduce
 from math import comb
 
 from .factor import _factorization, squarefree_decomposition
+from .frozen import Frozen, restore
 from .intervals import Interval, Rect, poly_eval_rect, rect_inverse
 from .polys import IntPolynomial, PolynomialError, count_real_roots
 from .roots import RootBox, isolate_real_roots, isolate_roots, refine_box
@@ -137,12 +138,10 @@ def _number(minpoly: IntPolynomial, base: IntPolynomial, index: int,
     if minpoly.degree == 1:  # a rational: root 0 of x, shifted by its value
         base, index, scale = _X, 0, Fraction(1)
         shift = Fraction(-minpoly.coeffs[0], minpoly.coeffs[1])
-    a = object.__new__(AlgebraicNumber)
-    a.minpoly, a._base, a._index, a._scale, a._shift = minpoly, base, index, scale, shift
-    return a
+    return restore(AlgebraicNumber, (minpoly, base, index, scale, shift))
 
 
-class AlgebraicNumber:
+class AlgebraicNumber(Frozen):
     """An exact algebraic number; immutable.
 
     The value is `scale * theta + shift`, where theta is root `index` of
@@ -159,8 +158,8 @@ class AlgebraicNumber:
         if poly.degree < 1:
             raise PolynomialError("need degree >= 1")
         root = _select(poly, lambda eps: box, encloses=False)
-        self.minpoly, self._base, self._index, self._scale, self._shift = (
-            root.minpoly, root._base, root._index, root._scale, root._shift)
+        for name in self._slot_names:
+            object.__setattr__(self, name, getattr(root, name))
 
     # -- constructors -------------------------------------------------------
 

@@ -40,13 +40,13 @@ def gf_from_poly(f: IntPolynomial, p: int) -> list[int]:
     return _gf_strip([c % p for c in f.coeffs])
 
 
-def gf_to_poly(a: list[int], p: int) -> IntPolynomial:
+def _gf_to_poly(a: list[int], p: int) -> IntPolynomial:
     """Lift with balanced residues in (-p/2, p/2]."""
     half = p // 2
     return IntPolynomial([c - p if c > half else c for c in a])
 
 
-def gf_add(a, b, p):
+def _gf_add(a, b, p):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -55,14 +55,14 @@ def gf_add(a, b, p):
     return _gf_strip(out)
 
 
-def gf_sub(a, b, p):
+def _gf_sub(a, b, p):
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = (out[i] - c) % p
     return _gf_strip(out)
 
 
-def gf_mul(a, b, p):
+def _gf_mul(a, b, p):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -73,14 +73,14 @@ def gf_mul(a, b, p):
     return _gf_strip([c % p for c in out])
 
 
-def gf_monic(a, p):
+def _gf_monic(a, p):
     if not a:
         return []
     inv = pow(a[-1], -1, p)
     return [(c * inv) % p for c in a]
 
 
-def gf_divmod(a, b, p):
+def _gf_divmod(a, b, p):
     if not b:
         raise ZeroDivisionError("gf division by zero")
     a = list(a)
@@ -95,52 +95,52 @@ def gf_divmod(a, b, p):
     return q and _gf_strip(q) or [], _gf_strip(a[: len(b) - 1])
 
 
-def gf_rem(a, b, p):
-    return gf_divmod(a, b, p)[1]
+def _gf_rem(a, b, p):
+    return _gf_divmod(a, b, p)[1]
 
 
-def gf_gcd(a, b, p):
+def _gf_gcd(a, b, p):
     while b:
-        a, b = b, gf_rem(a, b, p)
-    return gf_monic(a, p)
+        a, b = b, _gf_rem(a, b, p)
+    return _gf_monic(a, p)
 
 
-def gf_gcdex(a, b, p):
+def _gf_gcdex(a, b, p):
     """Extended gcd: returns (s, t, g) with s*a + t*b = g, g monic."""
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while b:
-        q, r = gf_divmod(a, b, p)
+        q, r = _gf_divmod(a, b, p)
         a, b = b, r
-        s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, p), p)
-        t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
+        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
+        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
     if not a:
         raise ZeroDivisionError("gcdex of zero polynomials")
     inv = pow(a[-1], -1, p)
     scale = lambda u: [(c * inv) % p for c in u]
-    return scale(s0), scale(t0), gf_monic(a, p)
+    return scale(s0), scale(t0), _gf_monic(a, p)
 
 
-def gf_pow_mod(a, n, f, p):
+def _gf_pow_mod(a, n, f, p):
     result = [1]
-    a = gf_rem(a, f, p)
+    a = _gf_rem(a, f, p)
     while n:
         if n & 1:
-            result = gf_rem(gf_mul(result, a, p), f, p)
-        a = gf_rem(gf_mul(a, a, p), f, p)
+            result = _gf_rem(_gf_mul(result, a, p), f, p)
+        a = _gf_rem(_gf_mul(a, a, p), f, p)
         n >>= 1
     return result
 
 
-def gf_deriv(a, p):
+def _gf_deriv(a, p):
     return _gf_strip([(i * c) % p for i, c in enumerate(a)][1:])
 
 
-def gf_is_squarefree(a, p):
-    d = gf_deriv(a, p)
+def _gf_is_squarefree(a, p):
+    d = _gf_deriv(a, p)
     if not d:
         return False
-    return len(gf_gcd(a, d, p)) == 1
+    return len(_gf_gcd(a, d, p)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +224,15 @@ def gf_factor_squarefree(f, p, basis) -> list[list[int]]:
             for s in range(p):
                 if len(rem_g) - 1 <= 0:
                     break
-                h = gf_gcd(rem_g, gf_sub(vv, [s], p), p)
+                h = _gf_gcd(rem_g, _gf_sub(vv, [s], p), p)
                 if 1 < len(h) <= len(rem_g):
                     if len(h) < len(rem_g):
                         pieces.append(h)
-                        rem_g = gf_divmod(rem_g, h, p)[0]
+                        rem_g = _gf_divmod(rem_g, h, p)[0]
                     elif len(h) == len(rem_g):
                         break
             if len(rem_g) > 1:
-                pieces.append(gf_monic(rem_g, p))
+                pieces.append(_gf_monic(rem_g, p))
             next_factors.extend(pieces if pieces else [g])
         factors = next_factors
         if len(factors) == r:
@@ -249,16 +249,16 @@ def _hensel_step(M, f, g, h, s, t, last=False):
     """One quadratic lift of f = g*h, s*g + t*h = 1 from mod m to mod M,
     for M dividing m^2 (von zur Gathen & Gerhard, Modern Computer Algebra,
     Alg. 15.10).  The last step of a lift leaves s and t as they are."""
-    e = gf_sub([c % M for c in f], gf_mul(g, h, M), M)
-    q, r = gf_divmod(gf_mul(s, e, M), h, M)
-    G = gf_add(g, gf_add(gf_mul(t, e, M), gf_mul(q, g, M), M), M)
-    H = gf_add(h, r, M)
+    e = _gf_sub([c % M for c in f], _gf_mul(g, h, M), M)
+    q, r = _gf_divmod(_gf_mul(s, e, M), h, M)
+    G = _gf_add(g, _gf_add(_gf_mul(t, e, M), _gf_mul(q, g, M), M), M)
+    H = _gf_add(h, r, M)
     if last:
         return G, H, s, t
-    b = gf_sub(gf_add(gf_mul(s, G, M), gf_mul(t, H, M), M), [1], M)
-    c, d = gf_divmod(gf_mul(s, b, M), H, M)
-    S = gf_sub(s, d, M)
-    T = gf_sub(t, gf_add(gf_mul(t, b, M), gf_mul(c, G, M), M), M)
+    b = _gf_sub(_gf_add(_gf_mul(s, G, M), _gf_mul(t, H, M), M), [1], M)
+    c, d = _gf_divmod(_gf_mul(s, b, M), H, M)
+    S = _gf_sub(s, d, M)
+    T = _gf_sub(t, _gf_add(_gf_mul(t, b, M), _gf_mul(c, G, M), M), M)
     return G, H, S, T
 
 
@@ -269,14 +269,14 @@ def _hensel_lift(p, f, modular_factors, l) -> list[list[int]]:
     pl = p ** l
     k = len(modular_factors) // 2
     if not k:
-        return [gf_monic(f, pl)]
+        return [_gf_monic(f, pl)]
     g = [f[-1] % p]
     for mf in modular_factors[:k]:
-        g = gf_mul(g, mf, p)
+        g = _gf_mul(g, mf, p)
     h = modular_factors[k]
     for mf in modular_factors[k + 1:]:
-        h = gf_mul(h, mf, p)
-    s, t, one = gf_gcdex(g, h, p)
+        h = _gf_mul(h, mf, p)
+    s, t, one = _gf_gcdex(g, h, p)
     if len(one) != 1:
         raise PolynomialError("modular factors not coprime")
     chain = []
@@ -338,11 +338,11 @@ def factor_squarefree_primitive(f: IntPolynomial) -> list[IntPolynomial]:
         if lc % p == 0:
             continue
         fp = gf_from_poly(f, p)
-        if len(fp) - 1 != n or not gf_is_squarefree(fp, p):
+        if len(fp) - 1 != n or not _gf_is_squarefree(fp, p):
             continue
         # the factor count mod p is the Berlekamp basis size; split only at
         # the prime chosen
-        fp = gf_monic(fp, p)
+        fp = _gf_monic(fp, p)
         basis = _nullspace_mod(_berlekamp_matrix(fp, p), p)
         usable += 1
         if best is None or len(basis) < len(best[2]):
@@ -383,8 +383,8 @@ def factor_squarefree_primitive(f: IntPolynomial) -> list[IntPolynomial]:
                 continue
             G = [b % pl]
             for i in subset:
-                G = gf_mul(G, lifted[i], pl)
-            G = gf_to_poly(G, pl).primitive_part()
+                G = _gf_mul(G, lifted[i], pl)
+            G = _gf_to_poly(G, pl).primitive_part()
             if G.lead < 0:
                 G = -G
             if G.degree >= 1 and G.divides(rest):
@@ -418,7 +418,7 @@ def squarefree_decomposition(f: IntPolynomial) -> list[tuple[IntPolynomial, int]
     if f.degree < 1:
         return out
     p = next((q for q in _odd_primes() if f.lead % q), None)
-    if p is not None and gf_is_squarefree(gf_from_poly(f, p), p):
+    if p is not None and _gf_is_squarefree(gf_from_poly(f, p), p):
         return out + [(f, 1)]
     g = poly_gcd(f, f.derivative())
     if g.degree == 0:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebraic import AlgebraicNumber, as_algebraic
+from .frozen import Frozen
 
 
 class FormError(ValueError):
@@ -25,7 +26,7 @@ def _norm_coeff(c) -> AlgebraicNumber:
     return as_algebraic(c)
 
 
-class MultihomogeneousPolynomial:
+class MultihomogeneousPolynomial(Frozen):
     """Sparse exponent-matrix representation.
 
     blocks are indexed 0..r-1; block i has coordinates x_{i,0..n_i}.  Every
@@ -71,13 +72,6 @@ class MultihomogeneousPolynomial:
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "monomials", norm)
 
-    def __setattr__(self, *a):
-        raise AttributeError("MultihomogeneousPolynomial is immutable")
-
-    def __reduce__(self):
-        return (MultihomogeneousPolynomial,
-                (self.shape, self.degrees, list(self.monomials.items())))
-
     @property
     def r(self) -> int:
         return len(self.shape)
@@ -92,19 +86,13 @@ class MultihomogeneousPolynomial:
                 yield (i, j)
 
 
-class ExceptionalSet:
+class ExceptionalSet(Frozen):
     """Block indices I (each with n_i = 1); the pairs E = {(i, 0) : i in I}."""
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
         object.__setattr__(self, "blocks", frozenset(int(i) for i in blocks))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ExceptionalSet is immutable")
-
-    def __reduce__(self):
-        return (ExceptionalSet, (sorted(self.blocks),))
 
     def pairs(self) -> frozenset:
         return frozenset((i, 0) for i in self.blocks)
@@ -116,15 +104,12 @@ class ExceptionalSet:
         return "ExceptionalSet(%s)" % sorted(self.blocks)
 
 
-class ValidationReport:
+class ValidationReport(Frozen):
     __slots__ = ("ok", "issues")
 
     def __init__(self, issues):
         object.__setattr__(self, "issues", tuple(issues))
         object.__setattr__(self, "ok", not issues)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ValidationReport is immutable")
 
     def __repr__(self):
         return "ValidationReport(ok=%r, issues=%r)" % (self.ok, list(self.issues))
@@ -248,7 +233,7 @@ def reciprocal_transform(F: MultihomogeneousPolynomial) -> MultihomogeneousPolyn
     return MultihomogeneousPolynomial(F.shape, d_tilde, mons)
 
 
-class WeightScheme:
+class WeightScheme(Frozen):
     """Nonnegative weights a_ij (coordinates) and b (the reciprocal transform)
     satisfying n_i + 1 = sum_j a_ij + b * d_tilde_i for every block."""
 
@@ -258,9 +243,6 @@ class WeightScheme:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", dict(a))
         object.__setattr__(self, "block_weights", tuple(block_weights))
-
-    def __setattr__(self, *a):
-        raise AttributeError("WeightScheme is immutable")
 
     def __repr__(self):
         return "WeightScheme(b=%s, a=%r)" % (self.b, self.a)

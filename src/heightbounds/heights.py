@@ -14,6 +14,7 @@ from math import ceil, gcd, isqrt
 
 from .algebraic import AlgebraicNumber, as_algebraic, conjugate_box
 from .factor import factor_over_rationals
+from .frozen import Frozen
 from .intervals import (Interval, _numerators, _sq, ln_fraction, sqrt_fraction_down,
                         sqrt_fraction_up)
 from .polys import IntPolynomial, is_cyclotomic
@@ -29,7 +30,7 @@ class UnsupportedBlockShape(HeightError):
     """Algebraic coordinates in blocks of dimension > 1 are not computable here."""
 
 
-class HeightValue:
+class HeightValue(Frozen):
     """Certified enclosure of a logarithmic height."""
 
     __slots__ = ("log_height", "bits")
@@ -39,12 +40,6 @@ class HeightValue:
         lo = max(log_height.lo, Fraction(0))
         object.__setattr__(self, "log_height", Interval(lo, max(log_height.hi, lo)))
         object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HeightValue is immutable")
-
-    def __reduce__(self):
-        return (HeightValue, (self.log_height, self.bits))
 
     def __repr__(self):
         return "HeightValue(~%.12g, bits=%d)" % (float(self.log_height.mid), self.bits)
@@ -165,7 +160,7 @@ def rational_block_log_height(coords, bits: int = DEFAULT_BITS) -> HeightValue:
     return HeightValue(ln_fraction(Fraction(m), bits + 4), bits)
 
 
-class MultiProjectivePoint:
+class MultiProjectivePoint(Frozen):
     """Point in a product of projective spaces, at least one nonzero
     coordinate per block; every coordinate is stored as an AlgebraicNumber."""
 
@@ -179,12 +174,6 @@ class MultiProjectivePoint:
                 raise HeightError("block %d has no nonzero coordinate" % bi)
             norm.append(row)
         object.__setattr__(self, "blocks", tuple(norm))
-
-    def __setattr__(self, *a):
-        raise AttributeError("MultiProjectivePoint is immutable")
-
-    def __reduce__(self):
-        return (MultiProjectivePoint, (self.blocks,))
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -11,6 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
+from .frozen import Frozen
+
 _GUARD = 24  # extra working bits on top of a requested precision
 
 
@@ -18,7 +20,7 @@ class IntervalError(ArithmeticError):
     pass
 
 
-class Interval:
+class Interval(Frozen):
     """Closed interval [lo, hi] with Fraction endpoints."""
 
     __slots__ = ("lo", "hi")
@@ -35,12 +37,6 @@ class Interval:
                 raise IntervalError("empty interval [%s, %s]" % (lo, hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Interval is immutable")
-
-    def __reduce__(self):
-        return (Interval, (self.lo, self.hi))
 
     # -- structure ---------------------------------------------------------
 
@@ -341,7 +337,7 @@ def xlogx_interval(iv: Interval, bits: int) -> Interval:
 # complex rectangles
 
 
-class Rect:
+class Rect(Frozen):
     """Axis-aligned complex rectangle: re + i*im with interval parts."""
 
     __slots__ = ("re", "im")
@@ -349,12 +345,6 @@ class Rect:
     def __init__(self, re: Interval, im: Interval):
         object.__setattr__(self, "re", _as_interval(re))
         object.__setattr__(self, "im", _as_interval(im))
-
-    def __setattr__(self, *a):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def __reduce__(self):
-        return (Rect, (self.re, self.im))
 
     def __repr__(self):
         return "Rect(%r, %r)" % (self.re, self.im)

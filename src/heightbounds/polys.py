@@ -13,6 +13,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
+from .frozen import Frozen
+
 
 class PolynomialError(ValueError):
     pass
@@ -34,7 +36,7 @@ def _horner_int(coeffs: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Immutable dense polynomial over the integers."""
 
     __slots__ = ("coeffs",)
@@ -52,12 +54,6 @@ class IntPolynomial:
                 raise PolynomialError("integer coefficients required, got %r" % (c,))
             cs.append(c)
         object.__setattr__(self, "coeffs", _strip(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("IntPolynomial is immutable")
-
-    def __reduce__(self):
-        return (IntPolynomial, (list(self.coeffs),))
 
     # -- basic structure -------------------------------------------------
 

@@ -51,9 +51,6 @@ class RootBox(Rect):
         object.__setattr__(self, "im", _ZERO if is_real else im)
         object.__setattr__(self, "is_real", is_real)
 
-    def __reduce__(self):
-        return (RootBox, (self.re, None if self.is_real else self.im))
-
     def __repr__(self):
         if self.is_real:
             return "RootBox([%s, %s])" % (self.re.lo, self.re.hi)

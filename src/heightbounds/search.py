@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .algebraic import AlgebraicNumber, _isolated, _number
 from .factor import factor_over_rationals
+from .frozen import Frozen
 from .heights import weil_log_height
 from .intervals import Interval, decimal_lower, decimal_upper
 from .polys import IntPolynomial, count_real_roots
@@ -36,7 +37,7 @@ class CursorError(ValueError):
     pass
 
 
-class SearchSpace:
+class SearchSpace(Frozen):
     """Finite coefficient box: degrees in a range, |coefficients| bounded,
     optionally monic, with a predicate set filtering the records."""
 
@@ -60,13 +61,6 @@ class SearchSpace:
         object.__setattr__(self, "monic", bool(monic))
         object.__setattr__(self, "predicates",
                            tuple(sorted(preds, key=KNOWN_PREDICATES.index)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SearchSpace is immutable")
-
-    def __reduce__(self):
-        return (SearchSpace, (self.degree_min, self.degree_max, self.coeff_bound,
-                              self.monic, self.predicates))
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,11 +163,7 @@ def _examine_candidate(space: SearchSpace, f: IntPolynomial, bits: int,
         # reducible candidates decompose; their irreducible parts are
         # deduplicated against already-seen records
         stats["reducible"] += 1
-    parts = []
     for g in facs:
-        if g not in parts:
-            parts.append(g)
-    for g in parts:
         stats["parts"] += 1
         if "exclude-trivial" in space.predicates and g.coeffs in _TRIVIAL:
             stats["rejections"]["exclude-trivial"] += 1
@@ -188,7 +178,7 @@ def _examine_candidate(space: SearchSpace, f: IntPolynomial, bits: int,
             stats["duplicates"] += 1
             continue
         flags = list(space.predicates)
-        if g.degree != f.degree or g != f:
+        if g != f:
             flags.append("from-decomposition")
         # g is an irreducible factor already, so conjugate 0 is named directly
         logh = weil_log_height(_number(g, g, 0), bits).log_height
@@ -364,8 +354,7 @@ def _load_cursor(space, cursor_path, records_path):
 # equality hunting
 
 
-def equality_hunt(r: int, space: SearchSpace, bits: int = 128,
-                  survey: SurveyResult | None = None):
+def equality_hunt(r: int, space: SearchSpace, bits: int = 128):
     """Instances of the sum-equals-N bound whose certified margin vanishes.
 
     r=1 instances are (alpha; N=alpha) over all real conjugates of survey
@@ -375,8 +364,7 @@ def equality_hunt(r: int, space: SearchSpace, bits: int = 128,
     """
     if r not in (1, 2):
         raise SearchError("r must be 1 or 2")
-    if survey is None:
-        survey = min_height_survey(space, bits=max(64, bits // 2))
+    survey = min_height_survey(space, bits=max(64, bits // 2))
     found = []
     units = ((),) if r == 1 else ((1,), (-1,))
     for rec in survey.records:

@@ -12,6 +12,7 @@ from .algebraic import DEFAULT_DEGREE_CAP, AlgebraicNumber, DegreeCapExceeded, a
 from .bounds import rho
 from .forms import (ExceptionalSet, FormError, MultihomogeneousPolynomial,
                     c_max, delta, reciprocal_transform, require_valid)
+from .frozen import Frozen
 from .heights import HeightValue, MultiProjectivePoint, point_log_height
 from .intervals import Interval, Rect, _numerators, _rect_mul, _rect_over
 
@@ -64,7 +65,7 @@ class Verdict:
         return "Verdict(%s%s)" % (self.status, extra)
 
 
-class CorollaryInstance:
+class CorollaryInstance(Frozen):
     """Nonzero algebraic numbers whose exact sum should be the totally real
     algebraic integer N."""
 
@@ -79,12 +80,6 @@ class CorollaryInstance:
                 raise InstanceError("alpha_%d is zero" % k)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "n_value", as_algebraic(n_value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("CorollaryInstance is immutable")
-
-    def __reduce__(self):
-        return (CorollaryInstance, (self.alphas, self.n_value))
 
     @property
     def r(self) -> int:

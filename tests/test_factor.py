@@ -6,10 +6,10 @@ import pytest
 import sympy
 
 from heightbounds import factor
-from heightbounds.factor import (_berlekamp_matrix, _hensel_lift, _nullspace_mod,
-                                 _odd_primes, factor_over_rationals, gf_factor_squarefree,
-                                 gf_from_poly, gf_is_squarefree, gf_monic, gf_mul,
-                                 gf_pow_mod, is_irreducible, squarefree_decomposition)
+from heightbounds.factor import (_berlekamp_matrix, _gf_is_squarefree, _gf_monic, _gf_mul,
+                                 _gf_pow_mod, _hensel_lift, _nullspace_mod, _odd_primes,
+                                 factor_over_rationals, gf_factor_squarefree, gf_from_poly,
+                                 is_irreducible, squarefree_decomposition)
 from heightbounds.polys import IntPolynomial, PolynomialError, parse_polynomial
 
 from conftest import run_with_deadline
@@ -128,8 +128,8 @@ class TestCompositeDegrees:
 
 def modular_factors(f, p):
     fp = gf_from_poly(f, p)
-    assert gf_is_squarefree(fp, p)
-    fp = gf_monic(fp, p)
+    assert _gf_is_squarefree(fp, p)
+    fp = _gf_monic(fp, p)
     return gf_factor_squarefree(fp, p, _nullspace_mod(_berlekamp_matrix(fp, p), p))
 
 
@@ -141,7 +141,7 @@ def assert_lift(f, p, l, modular):
     prod = [f.lead % pl]
     for g in lifted:
         assert all(0 <= c < pl for c in g)
-        prod = gf_mul(prod, g, pl)
+        prod = _gf_mul(prod, g, pl)
     assert prod == [c % pl for c in f.coeffs]
     assert len(lifted) == len(modular)
     for g, mf in zip(lifted, modular):
@@ -174,7 +174,7 @@ class TestBerlekampRows:
         n = len(f) - 1
         rows = []
         for i in range(n):
-            r = gf_pow_mod([0, 1], i * p, f, p)
+            r = _gf_pow_mod([0, 1], i * p, f, p)
             rows.append(r + [0] * (n - len(r)))
         return rows
 

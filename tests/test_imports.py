@@ -1,7 +1,7 @@
-"""No library module imports a name it never uses, or defines a helper that
-nothing names.
+"""No library module imports a name it never uses, defines a helper that
+nothing names, or makes its own immutable-value mechanism.
 
-Two stdlib `ast` checks standing in for a linter:
+Three stdlib `ast` checks standing in for a linter:
 
 - every name bound by an `import` in `src/heightbounds/*.py` must be read
   somewhere in that module (`__init__.py` is skipped, because its imports
@@ -9,7 +9,9 @@ Two stdlib `ast` checks standing in for a linter:
 - every module-level function and class in `src/heightbounds`, and every
   method that is not a dunder, must be named somewhere in `src`, `tests` or
   `benchmark`: as a name, as an attribute, or as a word inside a string
-  (as `benchmark/tracing.py` names its entry points).
+  (as `benchmark/tracing.py` names its entry points);
+- no module but `frozen.py` defines `__setattr__`, `__delattr__` or
+  `__reduce__`: immutable values derive from `frozen.Frozen`.
 """
 
 import ast
@@ -21,6 +23,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "heightbounds"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+FROZEN_METHODS = {"__setattr__", "__delattr__", "__reduce__"}
 SEARCHED = sorted(p for d in ("src", "tests", "benchmark") for p in (ROOT / d).rglob("*.py"))
 
 
@@ -94,3 +97,28 @@ def test_check_flags_an_unnamed_function(names_in_tree):
     injected = source + "\n\ndef %s(x):\n    return x\n" % helper
     assert unnamed_definitions(injected, names_in_tree | named(injected)) == [
         "line %d: %s" % (source.count("\n") + 3, helper)]
+
+
+def own_immutability(source: str) -> list[str]:
+    """The definitions in source of a method that only `Frozen` may define."""
+    return ["line %d: %s" % (node.lineno, node.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name in FROZEN_METHODS]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "frozen.py"],
+                         ids=lambda p: p.name)
+def test_no_own_immutability(path):
+    assert own_immutability(path.read_text()) == []
+
+
+def test_check_flags_a_hand_written_setattr():
+    source = (SRC / "bounds.py").read_text()
+    injected = source + (
+        "\n\nclass Copy:\n"
+        "    def __setattr__(self, *a):\n        raise AttributeError\n"
+        "    def __delattr__(self, *a):\n        raise AttributeError\n"
+        "    def __reduce__(self):\n        return (Copy, ())\n")
+    n = source.count("\n")
+    assert own_immutability(injected) == [
+        "line %d: __setattr__" % (n + 4), "line %d: __delattr__" % (n + 6),
+        "line %d: __reduce__" % (n + 8)]
