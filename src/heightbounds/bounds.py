@@ -17,6 +17,7 @@ from math import ceil, floor
 from .algebraic import AlgebraicNumber
 from .forms import (ExceptionalSet, MultihomogeneousPolynomial, c_max, c_value,
                     degree_data, delta, require_valid)
+from .frozen import Frozen
 from .intervals import (Interval, exp_fraction, exp_interval, ln_fraction, log_interval,
                         xlogx_interval)
 from .polys import IntPolynomial
@@ -71,14 +72,13 @@ def rho(c_f: int, dlt, bits: int = 128) -> tuple[AlgebraicNumber, Interval]:
 # certified branch-and-bound minimization on an interval
 
 
-class MinimizationResult:
-    __slots__ = ("argmin", "bracket", "value", "interior")
+class MinimizationResult(Frozen):
+    """argmin: the exact rational point achieving the upper bound;
+    bracket: an interval certain to contain every minimizer;
+    value: a certified enclosure of the minimum value;
+    interior: whether the bracket lies strictly inside the domain."""
 
-    def __init__(self, argmin, bracket, value, interior):
-        self.argmin = argmin      # exact rational point achieving the upper bound
-        self.bracket = bracket    # interval certain to contain every minimizer
-        self.value = value        # certified enclosure of the minimum value
-        self.interior = interior  # bracket strictly inside the domain
+    __slots__ = ("argmin", "bracket", "value", "interior")
 
     def __repr__(self):
         return "MinimizationResult(argmin=%.12g, value=%r)" % (float(self.argmin), self.value)
@@ -130,30 +130,19 @@ def minimize_on_interval(f_iv, lo: Fraction, hi: Fraction,
     b_lo = min(s[2] for s in survivors)
     b_hi = max(s[3] for s in survivors)
     low_bound = min(s[0] for s in survivors)
-    return MinimizationResult(
-        argmin=argmin,
-        bracket=Interval(b_lo, b_hi),
-        value=Interval(low_bound, upper),
-        interior=(b_lo > lo and b_hi < hi),
-    )
+    return MinimizationResult(argmin, Interval(b_lo, b_hi), Interval(low_bound, upper),
+                              b_lo > lo and b_hi < hi)
 
 
 # ---------------------------------------------------------------------------
 # the two-variable entropy-like minimization on a constraint segment
 
 
-class SegmentMinSolution:
+class SegmentMinSolution(Frozen):
     """Minimum of u*log(g*u/(u+v)) + v*log(v/(u+v)) on u,v >= 0,
     alpha*u + beta*v = 1, with the independently computed threshold root."""
 
     __slots__ = ("u", "v", "value", "root", "exp_neg_value")
-
-    def __init__(self, u, v, value, root, exp_neg_value):
-        self.u = u
-        self.v = v
-        self.value = value
-        self.root = root
-        self.exp_neg_value = exp_neg_value
 
     def __repr__(self):
         return ("SegmentMinSolution(u=%.9g, v=%.9g, l=%r, root=%r)"
@@ -251,8 +240,7 @@ def segment_min(alpha, beta, gamma, bits: int = 64) -> SegmentMinSolution:
     v = (1 - alpha * u) / beta
     root = threshold_root(alpha, beta, gamma, bits + 16)
     e_neg = exp_interval(-res.value, work)
-    return SegmentMinSolution(u=u, v=v, value=res.value, root=root,
-                              exp_neg_value=e_neg)
+    return SegmentMinSolution(u, v, res.value, root, e_neg)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +265,8 @@ def lambda_bound(b, dlt, c_f, bits: int = 64) -> Interval:
     return naive(b_iv)
 
 
-class OptimalWeight:
+class OptimalWeight(Frozen):
     __slots__ = ("b", "bracket", "bound", "interior")
-
-    def __init__(self, b, bracket, bound, interior):
-        self.b = b
-        self.bracket = bracket
-        self.bound = bound
-        self.interior = interior
 
     def __repr__(self):
         return "OptimalWeight(b=%.12g, bound=%r)" % (float(self.b), self.bound)
@@ -302,8 +284,7 @@ def optimal_b(dlt, c_f, bits: int = 60) -> OptimalWeight:
     hi = 1 / dlt if dlt else Fraction(64)
     _, objective = _segment_objective(dlt, Fraction(2), Fraction(c_f), bits + 56)
     res = minimize_on_interval(objective, Fraction(0), hi, bits)
-    return OptimalWeight(b=res.argmin, bracket=res.bracket, bound=res.value,
-                         interior=res.interior)
+    return OptimalWeight(res.argmin, res.bracket, res.value, res.interior)
 
 
 def xi_peak(a, b, c, bits: int = 64):
@@ -328,18 +309,8 @@ def xi_peak(a, b, c, bits: int = 64):
 # assembled constants for a validated polynomial
 
 
-class BoundConstants:
+class BoundConstants(Frozen):
     __slots__ = ("d_ij", "d_tilde", "delta", "c", "c_f", "rho", "log_rho", "bits")
-
-    def __init__(self, d_ij, d_tilde, dlt, c, c_f, rho_value, log_rho, bits):
-        self.d_ij = d_ij
-        self.d_tilde = d_tilde
-        self.delta = dlt
-        self.c = c
-        self.c_f = c_f
-        self.rho = rho_value
-        self.log_rho = log_rho
-        self.bits = bits
 
     def __repr__(self):
         return ("BoundConstants(delta=%s, C_F=%d, rho~%.10g)"

@@ -87,10 +87,11 @@ def parse_algnum(text: str) -> AlgebraicNumber:
     if sel.startswith("#"):
         try:
             k = int(sel[1:])
-            box = boxes[k]
-        except (ValueError, IndexError):
+        except ValueError:
+            k = -1
+        if not 0 <= k < len(boxes):
             raise CliError("bad root index %r (have %d roots)" % (sel, len(boxes)))
-        return AlgebraicNumber.from_root(poly, box)
+        return AlgebraicNumber.from_root(poly, boxes[k])
     try:
         target = complex(sel.replace("i", "j"))
     except ValueError:

@@ -74,8 +74,13 @@ class SearchSpace(Frozen):
     def from_json_dict(cls, d: dict) -> "SearchSpace":
         try:
             lo, hi = d["degrees"]
-            return cls(lo, hi, d["coeff_bound"], d.get("monic", True),
-                       d.get("predicates", KNOWN_PREDICATES))
+            coeff_bound, monic = d["coeff_bound"], d.get("monic", True)
+            # JSON true is not the bound 1, 2.7 not the degree 2, "false" not true
+            if not all(type(v) is int for v in (lo, hi, coeff_bound)):
+                raise TypeError("degrees and coeff_bound must be integers")
+            if type(monic) is not bool:
+                raise TypeError("monic must be true or false")
+            return cls(lo, hi, coeff_bound, monic, d.get("predicates", KNOWN_PREDICATES))
         except (KeyError, TypeError, ValueError) as e:
             raise SearchError("bad search space document: %s" % e) from None
 
@@ -107,14 +112,8 @@ class SearchSpace(Frozen):
         return IntPolynomial(coeffs)
 
 
-class SearchRecord:
+class SearchRecord(Frozen):
     __slots__ = ("minpoly", "degree", "logh", "flags")
-
-    def __init__(self, minpoly, degree, logh, flags):
-        self.minpoly = minpoly
-        self.degree = degree
-        self.logh = logh
-        self.flags = tuple(flags)
 
     def sort_key(self):
         return (self.logh.lo, self.degree, self.minpoly.coeffs)
@@ -132,8 +131,11 @@ class SearchRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SearchRecord":
+        minpoly = IntPolynomial(d["minpoly"])
+        if d["deg"] != minpoly.degree:
+            raise ValueError("deg %r is not the degree of minpoly" % (d["deg"],))
         logh = Interval(Fraction(d["logh"]["lo"]), Fraction(d["logh"]["hi"]))
-        return cls(IntPolynomial(d["minpoly"]), d["deg"], logh, d["flags"])
+        return cls(minpoly, minpoly.degree, logh, tuple(d["flags"]))
 
     def __repr__(self):
         return "SearchRecord(%s, logh~%.10g)" % (self.minpoly, float(self.logh.mid))
@@ -182,7 +184,7 @@ def _examine_candidate(space: SearchSpace, f: IntPolynomial, bits: int,
             flags.append("from-decomposition")
         # g is an irreducible factor already, so conjugate 0 is named directly
         logh = weil_log_height(_number(g, g, 0), bits).log_height
-        seen[g.coeffs] = SearchRecord(g, g.degree, logh, flags)
+        seen[g.coeffs] = SearchRecord(g, g.degree, logh, tuple(flags))
 
 
 def _new_stats() -> dict:
@@ -225,16 +227,8 @@ def _chunks(space: SearchSpace, resume_position=None):
     return out
 
 
-class SurveyResult:
+class SurveyResult(Frozen):
     __slots__ = ("records", "minimum", "tie_class", "strict", "stats", "bits")
-
-    def __init__(self, records, minimum, tie_class, strict, stats, bits):
-        self.records = records
-        self.minimum = minimum
-        self.tie_class = tie_class
-        self.strict = strict
-        self.stats = stats
-        self.bits = bits
 
     def __repr__(self):
         head = None if self.minimum is None else float(self.minimum.logh.mid)
@@ -328,26 +322,51 @@ def _write_checkpoint(space, records_path, cursor_path, seen, stats, position):
     _atomic_write(cursor_path, _cursor_blob(space, stats, position))
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _stats_shaped(stats, template) -> bool:
+    """Whether stats has the keys of template, with a count at each leaf."""
+    if not isinstance(stats, dict) or stats.keys() != template.keys():
+        return False
+    return all(_stats_shaped(stats[k], t) if isinstance(t, dict) else _is_count(stats[k])
+               for k, t in template.items())
+
+
 def _load_cursor(space, cursor_path, records_path):
     try:
         with open(cursor_path) as fh:
             doc = json.load(fh)
         space_hash = doc["space_hash"]
         degree, index = doc["position"]
-        stats = doc.get("stats", _new_stats())
+        stats = doc["stats"]
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CursorError("corrupted cursor file %s: %s" % (cursor_path, e)) from None
     if space_hash != space.space_hash():
         raise CursorError("cursor belongs to a different search space "
-                          "(hash %s...)" % space_hash[:12])
+                          "(hash %s...)" % str(space_hash)[:12])
+    # the end position a finished survey writes has index degree_count(degree)
+    if not (_is_count(degree) and _is_count(index)
+            and space.degree_min <= degree <= space.degree_max
+            and index <= space.degree_count(degree)):
+        raise CursorError("cursor file %s: position %r is not in the search space"
+                          % (cursor_path, doc["position"]))
+    if not _stats_shaped(stats, _new_stats()):
+        raise CursorError("cursor file %s: stats are not a table of counts" % cursor_path)
     prior = []
     if records_path and os.path.exists(records_path):
         with open(records_path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     prior.append(SearchRecord.from_json_dict(json.loads(line)))
-    return (int(degree), int(index), stats), prior
+                except (ValueError, KeyError, TypeError, ArithmeticError) as e:
+                    raise CursorError("record file %s, line %d is not a record: %r"
+                                      % (records_path, number, e)) from None
+    return (degree, index, stats), prior
 
 
 # ---------------------------------------------------------------------------

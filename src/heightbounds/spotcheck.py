@@ -15,25 +15,22 @@ import random
 
 from .forms import (ExceptionalSet, MultihomogeneousPolynomial,
                     WeightScheme, reciprocal_transform)
+from .frozen import Frozen
 
 
 class SpotcheckError(ValueError):
     pass
 
 
-class SpotcheckReport:
+class SpotcheckReport(Frozen):
+    """best_phi: the best objective value found (float);
+    best_moduli: the sorted coordinate moduli at the best point;
+    structure_ok: all but at most one modulus within 1e-6 of 1;
+    reference: the comparison value (e.g. -log rho), float;
+    consistent: best_phi <= reference + 1e-4."""
+
     __slots__ = ("best_phi", "best_moduli", "structure_ok", "feasible",
                  "reference", "consistent", "trials")
-
-    def __init__(self, best_phi, best_moduli, structure_ok, feasible,
-                 reference, consistent, trials):
-        self.best_phi = best_phi          # best found objective value (float)
-        self.best_moduli = best_moduli    # sorted coordinate moduli at the best point
-        self.structure_ok = structure_ok  # all but at most one pair within 1e-6 of 1
-        self.feasible = feasible
-        self.reference = reference        # comparison value (e.g. -log rho), float
-        self.consistent = consistent      # best_phi <= reference + 1e-4
-        self.trials = trials
 
     def __repr__(self):
         if not self.feasible:

@@ -33,30 +33,16 @@ class UndecidedError(ArithmeticError):
     """Sign undecidable at the precision/degree caps; never silently guessed."""
 
 
-class HypothesisResult:
+class HypothesisResult(Frozen):
     __slots__ = ("name", "passed", "witness")
-
-    def __init__(self, name, passed, witness=""):
-        self.name = name
-        self.passed = passed
-        self.witness = witness
 
     def __repr__(self):
         return "HypothesisResult(%s=%s%s)" % (
             self.name, self.passed, ", %s" % self.witness if self.witness else "")
 
 
-class Verdict:
+class Verdict(Frozen):
     __slots__ = ("status", "hypotheses", "lhs", "log_rho", "margin", "precision_bits")
-
-    def __init__(self, status, hypotheses, lhs=None, log_rho=None, margin=None,
-                 precision_bits=0):
-        self.status = status
-        self.hypotheses = hypotheses
-        self.lhs = lhs
-        self.log_rho = log_rho
-        self.margin = margin
-        self.precision_bits = precision_bits
 
     def __repr__(self):
         extra = ""
@@ -246,7 +232,7 @@ def verify_theorem(F: MultihomogeneousPolynomial, E: ExceptionalSet,
     require_valid(F, E)
     hypotheses = check_hypotheses(F, E, point, cap)
     if not all(h.passed for h in hypotheses):
-        return Verdict(VIOLATED, hypotheses, precision_bits=precision)
+        return Verdict(VIOLATED, hypotheses, None, None, None, precision)
     dlt = delta(F, E)
     cf = c_max(F, E)
     bits = max(precision, 16)
@@ -319,13 +305,8 @@ def verify_corollary(instance: CorollaryInstance, precision: int = 128,
                    verdict.precision_bits)
 
 
-class SchinzelResult:
+class SchinzelResult(Frozen):
     __slots__ = ("applicable", "reasons", "verdict")
-
-    def __init__(self, applicable, reasons, verdict=None):
-        self.applicable = applicable
-        self.reasons = tuple(reasons)
-        self.verdict = verdict
 
     def __repr__(self):
         if self.applicable:
@@ -348,7 +329,7 @@ def schinzel_check(alpha: AlgebraicNumber, precision: int = 128,
     if not alpha.is_algebraic_integer():
         reasons.append("alpha is not an algebraic integer")
     if reasons:
-        return SchinzelResult(False, reasons)
+        return SchinzelResult(False, tuple(reasons), None)
     verdict = verify_corollary(CorollaryInstance([alpha], alpha), precision, cap)
     return SchinzelResult(True, (), verdict)
 

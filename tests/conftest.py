@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ sys.path.insert(0, SRC)
 
 from heightbounds.algebraic import AlgebraicNumber, _isolated  # noqa: E402
 from heightbounds.polys import parse_polynomial  # noqa: E402
+from heightbounds.search import SearchSpace, min_height_survey  # noqa: E402
 
 # oracle digits (mpmath at 50 dps)
 PHI = Fraction("1.61803398874989484820458683436563811772")
@@ -70,6 +72,41 @@ def recording_pool(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", Pool)
     return sizes
+
+
+# each spoils a finished survey's cursor document c or record documents r;
+# the CursorError names the second item
+MALFORMED_SURVEY_FILES = {
+    "stats-missing": (lambda c, r: c.pop("stats"), "stats"),
+    "stats-empty": (lambda c, r: c.update(stats={}), "stats"),
+    "stats-number": (lambda c, r: c.update(stats=5), "stats"),
+    "stats-negative": (lambda c, r: c["stats"]["rejections"].update({"totally-real": -1}),
+                       "stats"),
+    "position-text": (lambda c, r: c.update(position=[1, "a"]), "position"),
+    "position-negative": (lambda c, r: c.update(position=[1, -5]), "position"),
+    "position-past-count": (lambda c, r: c.update(position=[1, 4]), "position"),
+    "position-degree": (lambda c, r: c.update(position=[3, 0]), "position"),
+    "record-without-logh": (lambda c, r: r[1].pop("logh"), "line 2"),
+    # sorting the records used to compare this degree with an int
+    "record-degree": (lambda c, r: r[0].update(deg="two"), "line 1"),
+}
+
+
+@pytest.fixture(params=sorted(MALFORMED_SURVEY_FILES))
+def malformed_survey_files(request, tmp_path):
+    """A finished survey of SearchSpace(1, 2, 1), degree counts 3 and 9,
+    with its cursor or record file then spoiled in one way: (space, records
+    path, cursor path, the text the CursorError must contain)."""
+    space = SearchSpace(1, 2, 1)
+    records, cursor = tmp_path / "records.jsonl", tmp_path / "cursor.json"
+    min_height_survey(space, bits=64, records_path=str(records), cursor_path=str(cursor))
+    spoil, needle = MALFORMED_SURVEY_FILES[request.param]
+    cursor_doc = json.loads(cursor.read_text())
+    record_docs = [json.loads(line) for line in records.read_text().splitlines()]
+    spoil(cursor_doc, record_docs)
+    cursor.write_text(json.dumps(cursor_doc))
+    records.write_text("".join(json.dumps(d) + "\n" for d in record_docs))
+    return space, str(records), str(cursor), needle
 
 
 @pytest.fixture

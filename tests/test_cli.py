@@ -51,6 +51,15 @@ class TestParseAlgnum:
         with pytest.raises(CliError):
             parse_algnum("x^2-2@zzz")
 
+    def test_negative_index_refused(self, capsys):
+        # #k counts from the first root; #-1 used to pick the last one
+        from heightbounds.cli import CliError
+        with pytest.raises(CliError, match="bad root index"):
+            parse_algnum("x^2-2@#-1")
+        code, out, err = run_cli(["height", "x^2-2@#-1"], capsys)
+        assert (code, out) == (3, "")
+        assert "bad root index '#-1'" in err
+
 
 class TestSubcommands:
     def test_rho_golden(self, capsys):
@@ -147,6 +156,22 @@ class TestSubcommands:
                                capsys)
         assert code == 0
         assert json.loads(out)["count"] >= 2
+
+    def test_search_malformed_files(self, tmp_path, capsys, malformed_survey_files):
+        space, records, cursor, needle = malformed_survey_files
+        spath = tmp_path / "space.json"
+        spath.write_text(json.dumps(space.to_json_dict()))
+        code, out, err = run_cli(["--precision", "64", "search", str(spath),
+                                  "--records", records, "--cursor", cursor], capsys)
+        assert (code, out) == (3, "")
+        assert needle in err
+
+    def test_search_mistyped_space(self, tmp_path, capsys):
+        spath = tmp_path / "space.json"
+        spath.write_text(json.dumps({"degrees": [1, 2], "coeff_bound": 1, "monic": "false"}))
+        code, out, err = run_cli(["search", str(spath)], capsys)
+        assert (code, out) == (3, "")
+        assert "monic must be true or false" in err
 
     def test_spotcheck(self, tmp_path, capsys, golden):
         F, E = build_sum_form(golden, 1)

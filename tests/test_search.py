@@ -30,6 +30,16 @@ class TestSpace:
         with pytest.raises(SearchError):
             SearchSpace(1, 2, 1, predicates=("weird",))
 
+    @pytest.mark.parametrize("field, value", [
+        ("monic", "false"), ("monic", 0), ("degrees", [1, 2.7]), ("degrees", [True, 2]),
+        ("coeff_bound", True), ("coeff_bound", 1.0), ("coeff_bound", "1")])
+    def test_document_fields_are_typed(self, field, value):
+        doc = SearchSpace(1, 2, 1).to_json_dict()
+        assert SearchSpace.from_json_dict(doc).space_hash() == SearchSpace(1, 2, 1).space_hash()
+        doc[field] = value
+        with pytest.raises(SearchError, match="bad search space document"):
+            SearchSpace.from_json_dict(doc)
+
     def test_enumeration_deterministic_and_complete(self):
         sp = SearchSpace(1, 2, 1)
         items = list(enumerate_space(sp))
@@ -161,6 +171,22 @@ class TestCheckpoint:
         with pytest.raises(CursorError):
             min_height_survey(sp, bits=64, records_path=str(tmp_path / "r.jsonl"),
                               cursor_path=str(cur))
+
+    def test_finished_cursor_is_accepted(self, tmp_path):
+        # the end position has index degree_count(degree_max)
+        sp = SearchSpace(1, 2, 1)
+        r, cur = tmp_path / "r.jsonl", tmp_path / "c.json"
+        min_height_survey(sp, bits=64, records_path=str(r), cursor_path=str(cur))
+        blobs = r.read_bytes(), cur.read_bytes()
+        assert json.loads(blobs[1])["position"] == [2, sp.degree_count(2)]
+        again = min_height_survey(sp, bits=64, records_path=str(r), cursor_path=str(cur))
+        assert (r.read_bytes(), cur.read_bytes()) == blobs
+        assert again.stats["candidates"] == sp.total_count()
+
+    def test_malformed_cursor_or_record_file(self, malformed_survey_files):
+        sp, records, cursor, needle = malformed_survey_files
+        with pytest.raises(CursorError, match=needle):
+            min_height_survey(sp, bits=64, records_path=records, cursor_path=cursor)
 
     def test_space_hash_mismatch(self, tmp_path):
         sp1, sp2 = SearchSpace(1, 2, 1), SearchSpace(1, 2, 2)
